@@ -13,6 +13,7 @@ Everything here is dense; operators are capped at 8 qubits (256 x 256).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -129,30 +130,61 @@ class CouplingLabel:
             raise ValueError(f"M={self.M} is not in -J..J for J={self.J}")
 
 
-def pauli_embedded(axis: str, k: int, n: int) -> DenseOperator:
-    """Pauli matrix on qubit k of an n-qubit register, identity elsewhere."""
+def _check_register(axis: str, n: int) -> None:
     if axis not in PAULI:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     if n < 1 or n > MAX_OPERATOR_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_OPERATOR_QUBITS}, got {n}")
+
+
+def _check_qubit(axis: str, k: int, n: int) -> None:
+    _check_register(axis, n)
     if not 1 <= k <= n:
         raise ValueError(f"qubit index k={k} out of range 1..{n}")
+
+
+# The fixed operators are built once per argument tuple and then shared: their
+# entries are read-only, so no caller can alter what another one sees. The
+# public functions validate their arguments on every call, then read the memo.
+# Only valid arguments reach it, which bounds it: the 4-qubit operators take
+# ~0.1 MB, and every register up to MAX_OPERATOR_QUBITS together ~65 MB.
+
+
+@functools.cache
+def _pauli_embedded(axis: str, k: int, n: int) -> DenseOperator:
     out = np.array([[1.0 + 0.0j]])
     for i in range(1, n + 1):
         out = np.kron(out, PAULI[axis] if i == k else np.eye(2))
     return DenseOperator(n, out, hermitian=True)
 
 
+@functools.cache
+def _angular_momentum(axis: str, k: int, n: int) -> DenseOperator:
+    return DenseOperator(n, _pauli_embedded(axis, k, n).entries / 2, hermitian=True)
+
+
+@functools.cache
+def _total_angular_momentum(axis: str, n: int) -> DenseOperator:
+    total = sum(_angular_momentum(axis, k, n).entries for k in range(1, n + 1))
+    return DenseOperator(n, total, hermitian=True)
+
+
+def pauli_embedded(axis: str, k: int, n: int) -> DenseOperator:
+    """Pauli matrix on qubit k of an n-qubit register, identity elsewhere."""
+    _check_qubit(axis, k, n)
+    return _pauli_embedded(axis, k, n)
+
+
 def angular_momentum(axis: str, k: int, n: int) -> DenseOperator:
     """J_axis on qubit k (spin-1/2, hbar = 1): half the embedded Pauli."""
-    pauli = pauli_embedded(axis, k, n)
-    return DenseOperator(n, pauli.entries / 2, hermitian=True)
+    _check_qubit(axis, k, n)
+    return _angular_momentum(axis, k, n)
 
 
 def total_angular_momentum(axis: str, n: int) -> DenseOperator:
     """Sum of J_axis over all n qubits."""
-    total = sum(angular_momentum(axis, k, n).entries for k in range(1, n + 1))
-    return DenseOperator(n, total, hermitian=True)
+    _check_register(axis, n)
+    return _total_angular_momentum(axis, n)
 
 
 def _state_amplitudes(state, n_qubits: int) -> np.ndarray:
@@ -176,7 +208,7 @@ def closure_defect(state) -> float:
     psi = _state_amplitudes(state, 4)
     total = 0.0
     for axis in AXES:
-        j_tot = total_angular_momentum(axis, 4).entries
+        j_tot = _total_angular_momentum(axis, 4).entries
         total += float(np.linalg.norm(j_tot @ psi) ** 2)
     return math.sqrt(total)
 
@@ -237,7 +269,7 @@ def invariant_projector(n: int) -> DenseOperator:
     if n < 1 or n > MAX_OPERATOR_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_OPERATOR_QUBITS}, got {n}")
     j_squared = sum(
-        total_angular_momentum(axis, n).entries @ total_angular_momentum(axis, n).entries
+        _total_angular_momentum(axis, n).entries @ _total_angular_momentum(axis, n).entries
         for axis in AXES
     )
     evals, evecs = np.linalg.eigh(j_squared)

@@ -20,6 +20,7 @@ cosines come in two sign conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,13 +180,21 @@ def _check_convention(convention: str) -> None:
 
 
 def dihedral_operator(pair, convention: str = "interior") -> DenseOperator:
-    """The 16-dim cosine operator for the dihedral angle between faces k and m."""
+    """The 16-dim cosine operator for the dihedral angle between faces k and m.
+
+    Built once per (k, m, convention); the returned operator is shared and read-only.
+    """
     _check_convention(convention)
     p = _as_pair(pair)
+    return _dihedral_operator(p.k, p.m, convention)
+
+
+@functools.cache
+def _dihedral_operator(k: int, m: int, convention: str) -> DenseOperator:
     dot = np.zeros((16, 16), dtype=complex)
     for axis in AXES:
-        jk = angular_momentum(axis, p.k, 4).entries
-        jm = angular_momentum(axis, p.m, 4).entries
+        jk = angular_momentum(axis, k, 4).entries
+        jm = angular_momentum(axis, m, 4).entries
         dot += jk @ jm
     sign = 1.0 if convention == "normals" else -1.0
     return DenseOperator(4, sign * (4.0 / 3.0) * dot, hermitian=True)

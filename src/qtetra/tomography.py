@@ -10,6 +10,7 @@ Hilbert-Schmidt overlap trace(ab)/sqrt(trace(a^2) trace(b^2)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -186,6 +187,7 @@ def pauli_strings() -> list[str]:
     return ["".join(p) for p in itertools.product(_PAULI_LETTERS, repeat=4)]
 
 
+@functools.cache
 def _pauli_matrices() -> np.ndarray:
     mats = np.empty((256, DIM, DIM), dtype=complex)
     for i, label in enumerate(pauli_strings()):
@@ -193,22 +195,13 @@ def _pauli_matrices() -> np.ndarray:
         for ch in label:
             m = np.kron(m, _SINGLE[ch])
         mats[i] = m
+    mats.setflags(write=False)
     return mats
-
-
-_PAULI_CACHE: np.ndarray | None = None
-
-
-def _paulis() -> np.ndarray:
-    global _PAULI_CACHE
-    if _PAULI_CACHE is None:
-        _PAULI_CACHE = _pauli_matrices()
-    return _PAULI_CACHE
 
 
 def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
     """<P> = trace(rho P) for all 256 Pauli strings, canonically indexed."""
-    mats = _paulis()
+    mats = _pauli_matrices()
     # trace(rho P) = sum_ij rho_ij P_ji
     return np.einsum("ij,kji->k", rho.entries, mats).real
 
@@ -218,7 +211,7 @@ def rho_from_expectations(values) -> DensityMatrix:
     vals = np.asarray(values, dtype=float)
     if vals.shape != (256,):
         raise ValueError(f"expected 256 Pauli expectations, got {vals.shape}")
-    rho = np.einsum("k,kij->ij", vals, _paulis()) / DIM
+    rho = np.einsum("k,kij->ij", vals, _pauli_matrices()) / DIM
     return DensityMatrix(rho)
 
 

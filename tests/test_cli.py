@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, determinism, error handling."""
 
+import hashlib
 import json
 import math
 
@@ -218,3 +219,26 @@ class TestPlumbing:
         csv_delta = float(csv_out.strip().split("\n")[1].split(",")[3])
         json_delta = json.loads(json_out)[0]["delta"]
         assert csv_delta == json_delta
+
+
+# SHA-256 of the --out bytes, recorded from the code before the spin
+# operators were memoized; any change to a number or its formatting moves them.
+PINNED_OUTPUTS = {
+    ("table1",): "8c225e4a6243be36afb978b27dad772e4d1cdcf8538d38dda8cd94188fab2e1b",
+    ("table2", "--format", "json"):
+        "d9c9d565a161c3cd27c49e8d72031699ae13fdc9aeccaf1e9f39db2a6ccf7604",
+    ("amplitude", "--states", "C0,C1"):
+        "63a3148fc0b0bee1b226cb4a6231a2a9fac1535f6128e6c1c8741179c9f5bf98",
+    ("experiment", "--seed", "7"):
+        "b017e3577d655ae2bbff2d5c397f85bccfbbeb98fefe46fc7f49eebbce09b468",
+    ("tetra", "--states", "C0,C1", "--convention", "normals"):
+        "94bfdb26ecb5614a4508651e0d529a52b8ee4f34cec035b9999f675f0155c3dd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS), ids=lambda argv: argv[0])
+def test_output_bytes_pinned(argv, tmp_path, capsys):
+    path = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_OUTPUTS[argv]

@@ -17,7 +17,7 @@ from qtetra.spin_algebra import (
     pauli_embedded,
     total_angular_momentum,
 )
-from qtetra.tetrahedron import logical_basis
+from qtetra.tetrahedron import dihedral_operator, logical_basis
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -67,6 +67,58 @@ class TestPauliEmbedded:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             pauli_embedded("w", 1, 1)
+
+
+class TestSharedOperators:
+    """The fixed operators are built once, shared read-only, and still validated."""
+
+    @pytest.mark.parametrize("n", [4, 3])
+    def test_equal_to_a_fresh_kron_build(self, n):
+        single = dict(zip(AXES, (SX, SY, SZ)))
+        for axis in AXES:
+            fresh_j = []
+            for k in range(1, n + 1):
+                fresh = kron_chain(
+                    [single[axis] if i == k else np.eye(2) for i in range(1, n + 1)]
+                )
+                fresh_j.append(fresh / 2)
+                assert np.array_equal(pauli_embedded(axis, k, n).entries, fresh)
+                assert np.array_equal(angular_momentum(axis, k, n).entries, fresh / 2)
+            assert np.array_equal(total_angular_momentum(axis, n).entries, sum(fresh_j))
+
+    def test_repeated_calls_share_one_object(self):
+        assert pauli_embedded("y", 2, 4) is pauli_embedded("y", 2, 4)
+        assert total_angular_momentum("z", 4) is total_angular_momentum("z", 4)
+        assert dihedral_operator((1, 3), "normals") is dihedral_operator((1, 3), "normals")
+
+    @pytest.mark.parametrize(
+        "build", [lambda: pauli_embedded("x", 1, 4), lambda: dihedral_operator((1, 2))]
+    )
+    def test_entries_are_read_only(self, build):
+        before = build().entries.copy()
+        with pytest.raises(ValueError):
+            build().entries[0, 0] = 7.0
+        assert np.array_equal(build().entries, before)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pauli_embedded("x", 5, 4),
+            lambda: pauli_embedded("w", 1, 4),
+            lambda: angular_momentum("z", 0, 4),
+            lambda: total_angular_momentum("x", 9),
+            lambda: total_angular_momentum("w", 4),
+            lambda: dihedral_operator((2, 2)),
+            lambda: dihedral_operator((1, 2), "outward"),
+        ],
+    )
+    def test_bad_arguments_raise_on_every_call(self, call):
+        pauli_embedded("x", 1, 4)
+        total_angular_momentum("x", 4)
+        dihedral_operator((1, 2))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestAngularMomentum:

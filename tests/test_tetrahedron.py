@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtetra.spin_algebra import closure_defect
+from qtetra.spin_algebra import StateVector, closure_defect
 from qtetra.tetrahedron import (
     BlochPoint,
     DihedralPair,
+    InvariantTensor,
     area_eigenvalue,
     bloch_state,
     compress_to_logical,
@@ -104,6 +105,20 @@ class TestBlochState:
         state = bloch_state(point)
         assert state.embedded.norm == pytest.approx(1.0, abs=1e-12)
         assert closure_defect(state.embedded) < 1e-10
+
+
+class TestInvariantTensorBoundary:
+    def test_non_invariant_embedding_reports_its_closure_defect(self):
+        product = np.zeros(16, dtype=complex)
+        product[0] = 1.0
+        # |0000> has J_z = 2 and <J_x^2> = <J_y^2> = 1, so the defect is sqrt(6)
+        with pytest.raises(ValueError, match=r"not invariant: closure defect 2\.449e\+00"):
+            InvariantTensor(BlochPoint(0.0, 0.0), StateVector(4, product))
+
+    def test_wrong_bloch_point_rejected(self):
+        embedded = bloch_state(BlochPoint(0.3, 1.0)).embedded
+        with pytest.raises(ValueError, match="deviates from its Bloch point"):
+            InvariantTensor(BlochPoint(math.pi / 2, 0.0), embedded)
 
 
 class TestArea:
