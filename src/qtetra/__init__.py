@@ -56,20 +56,15 @@ from .named_states import (
     reference_comparison,
 )
 from .tomography import (
-    DEFAULT_NMR_PARAMS,
     DEFAULT_NOISE,
     DegeneracyError,
     DensityMatrix,
-    NMRParams,
     NoiseSpec,
     fidelity,
-    internal_hamiltonian,
     ml_purify,
     pauli_expectations,
-    pseudo_pure_state,
     rho_from_expectations,
     simulate_experiment,
-    thermal_state,
 )
 
 __version__ = "0.1.0"

@@ -51,7 +51,8 @@ def _write_json(obj, out) -> None:
     out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(header, rows, json_obj, args) -> None:
+def _emit(header, rows, args, payload=None) -> None:
+    """Write ``rows`` as CSV, or ``payload`` (default: one dict per row) as JSON."""
     if args.out in (None, "-"):
         target = sys.stdout
         close = False
@@ -62,23 +63,28 @@ def _emit(header, rows, json_obj, args) -> None:
         if args.format == "csv":
             _write_csv(header, rows, target)
         else:
-            _write_json(json_obj, target)
+            _write_json(_rows_to_json(header, rows) if payload is None else payload, target)
     finally:
         if close:
             target.close()
 
 
+def _named_points(states: str) -> list[tuple[str, BlochPoint]]:
+    """The named states of a comma-separated --states value, in order."""
+    points = []
+    for name in states.split(","):
+        name = name.strip()
+        if name not in named_states.NAMED_POINTS:
+            raise ValueError(
+                f"unknown state {name!r}; known: {', '.join(named_states.STATE_NAMES)}"
+            )
+        points.append((name, named_states.NAMED_POINTS[name]))
+    return points
+
+
 def _collect_points(args) -> list[tuple[str, BlochPoint]]:
     """Named states from --states plus anonymous (--theta, --phi) pairs."""
-    points: list[tuple[str, BlochPoint]] = []
-    if args.states:
-        for name in args.states.split(","):
-            name = name.strip()
-            if name not in named_states.NAMED_POINTS:
-                raise ValueError(
-                    f"unknown state {name!r}; known: {', '.join(named_states.STATE_NAMES)}"
-                )
-            points.append((name, named_states.NAMED_POINTS[name]))
+    points = _named_points(args.states) if args.states else []
     thetas = args.theta or []
     phis = args.phi or []
     if len(thetas) != len(phis):
@@ -103,7 +109,7 @@ def _cmd_tetra(args) -> None:
     for name, point in _collect_points(args):
         c12, c13, c14 = independent_dihedral_expectations(point, args.convention)
         rows.append([name, point.theta, point.phi, c12, c13, c14])
-    _emit(header, rows, _rows_to_json(header, rows), args)
+    _emit(header, rows, args)
 
 
 def _cmd_fluct(args) -> None:
@@ -111,7 +117,7 @@ def _cmd_fluct(args) -> None:
     rows = []
     for name, point in _collect_points(args):
         rows.append([name, point.theta, point.phi, fluctuation(point)])
-    _emit(header, rows, _rows_to_json(header, rows), args)
+    _emit(header, rows, args)
 
 
 def _cmd_reconstruct(args) -> None:
@@ -141,7 +147,7 @@ def _cmd_reconstruct(args) -> None:
                 },
             }
         )
-    _emit(header, rows, details, args)
+    _emit(header, rows, args, details)
 
 
 def _amplitude_context():
@@ -160,7 +166,7 @@ def _cmd_amplitude(args) -> None:
             [name, point.theta, point.phi, result.value.real, result.value.imag,
              result.magnitude, result.phase]
         )
-    _emit(header, rows, _rows_to_json(header, rows), args)
+    _emit(header, rows, args)
 
 
 def _cmd_sweep(args) -> None:
@@ -176,7 +182,7 @@ def _cmd_sweep(args) -> None:
         for j, phi in enumerate(phis):
             value = grid[i, j]
             rows.append([theta, phi, value.real, value.imag, abs(value), float(np.angle(value))])
-    _emit(header, rows, _rows_to_json(header, rows), args)
+    _emit(header, rows, args)
 
 
 def _cmd_table1(args) -> None:
@@ -218,7 +224,7 @@ def _cmd_table1(args) -> None:
         "reference_units": "1e-5",
         "rows": _rows_to_json(header, rows),
     }
-    _emit(header, rows, meta, args)
+    _emit(header, rows, args, meta)
 
 
 def _cmd_table2(args) -> None:
@@ -235,7 +241,7 @@ def _cmd_table2(args) -> None:
                 "both emitted"
             )
         rows.append([name, point.theta, point.phi, delta, ref, note])
-    _emit(header, rows, _rows_to_json(header, rows), args)
+    _emit(header, rows, args)
 
 
 def _cmd_experiment(args) -> None:
@@ -244,15 +250,7 @@ def _cmd_experiment(args) -> None:
         rotation_angle_sd=args.rotation_sd,
         seed=args.seed if args.seed is not None else tomography.DEFAULT_NOISE.seed,
     )
-    if args.states:
-        targets = {}
-        for name in args.states.split(","):
-            name = name.strip()
-            if name not in named_states.NAMED_POINTS:
-                raise ValueError(f"unknown state {name!r}")
-            targets[name] = named_states.NAMED_POINTS[name]
-    else:
-        targets = None
+    targets = dict(_named_points(args.states)) if args.states else None
     report = tomography.simulate_experiment(targets=targets, noise=noise)
     header = [
         "state", "theta", "phi", "fidelity", "delta_theory", "delta_measured",
@@ -265,7 +263,7 @@ def _cmd_experiment(args) -> None:
              t.dihedral_measured[0], t.dihedral_measured[1], t.dihedral_measured[2],
              t.amplitude_purified.real, t.amplitude_purified.imag]
         )
-    _emit(header, rows, report.to_dict(), args)
+    _emit(header, rows, args, report.to_dict())
 
 
 _HANDLERS = {
@@ -280,10 +278,14 @@ _HANDLERS = {
 }
 
 
+def _add_states_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--states", type=str, default="", help="comma-separated named states, e.g. A0,C1")
+
+
 def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, action="append", help="Bloch polar angle (repeatable)")
     parser.add_argument("--phi", type=float, action="append", help="Bloch azimuth (repeatable)")
-    parser.add_argument("--states", type=str, default="", help="comma-separated named states, e.g. A0,C1")
+    _add_states_arg(parser)
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output_args(p)
 
     p = sub.add_parser("experiment")
-    _add_point_args(p)
+    _add_states_arg(p)
     _add_output_args(p)
     p.add_argument("--seed", type=int, default=None, help="noise seed")
     p.add_argument("--depolarizing-p", type=float, default=tomography.DEFAULT_NOISE.depolarizing_p)

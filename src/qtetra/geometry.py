@@ -174,8 +174,7 @@ def reconstruct(
     convention: str = "interior",
     rng=None,
     max_restarts: int = 32,
-    return_all: bool = False,
-):
+) -> TetrahedronVertices:
     """Solve for the tetrahedron matching four areas and two dihedral cosines.
 
     Args:
@@ -184,8 +183,8 @@ def reconstruct(
             (1,2) and (1,3); read per ``convention`` ("interior" measures the
             interior angle, "normals" the angle between outward normals).
         rng: seed or Generator driving the random restarts (default seed 0).
-        return_all: when True, return every distinct congruence class found
-            across restarts (sorted by residual) instead of just the best.
+        max_restarts: solver starts tried, the first from a regular
+            tetrahedron; the first accepted solution is returned.
 
     Raises:
         InfeasibleGeometryError: no restart reached residual norm 1e-8.
@@ -205,7 +204,6 @@ def reconstruct(
     edge = np.sqrt(np.mean(areas) / (np.sqrt(3) / 4))
     x0 = edge * np.array([1.0, 0.5, np.sqrt(3) / 2, 0.5, np.sqrt(3) / 6, np.sqrt(6) / 3])
 
-    solutions: list[tuple[float, np.ndarray]] = []
     best_residual = np.inf
     for trial in range(max_restarts):
         start = x0 if trial == 0 else x0 * (1.0 + 0.6 * generator.standard_normal(6))
@@ -228,23 +226,9 @@ def reconstruct(
             params = _canonical_gauge(result.x)
             if abs(params[0]) < 1e-12 or abs(params[2]) < 1e-12 or abs(params[5]) < 1e-12:
                 continue  # converged to a flat configuration
-            solutions.append((residual, params))
-            if not return_all:
-                break
+            return TetrahedronVertices(*params)
 
-    if not solutions:
-        raise InfeasibleGeometryError("infeasible geometry", best_residual)
-
-    if not return_all:
-        return TetrahedronVertices(*solutions[0][1])
-
-    distinct: list[TetrahedronVertices] = []
-    for _, params in sorted(solutions, key=lambda item: item[0]):
-        tetra = TetrahedronVertices(*params)
-        edges = tetra.edge_lengths()
-        if all(np.abs(edges - other.edge_lengths()).max() > 1e-6 for other in distinct):
-            distinct.append(tetra)
-    return distinct
+    raise InfeasibleGeometryError("infeasible geometry", best_residual)
 
 
 def expectations_to_geometry(point, rng=None) -> TetrahedronVertices:

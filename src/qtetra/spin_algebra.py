@@ -55,12 +55,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", arr)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "StateVector":
-        arr = np.asarray(amplitudes)
-        n = int(np.log2(arr.size))
-        return cls(n, arr)
-
     @property
     def dim(self) -> int:
         return 2**self.n_qubits

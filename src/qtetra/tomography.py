@@ -1,11 +1,11 @@
 """Desk-scale rehearsal of the four-qubit preparation and readout pipeline.
 
-The chain simulated here: a thermal or pseudo-pure starting state, unitary
-dynamics under a diagonal internal Hamiltonian, a configurable noise channel
-(small random z-rotations plus depolarizing), full Pauli tomography (all 256
-four-qubit Pauli expectations are evaluated directly), purification to the
-dominant eigenvector, and fidelity scoring with the normalized
-Hilbert-Schmidt overlap trace(ab)/sqrt(trace(a^2) trace(b^2)).
+The chain simulated here, per target: the ideal invariant tetrahedron state,
+a configurable noise channel (small random z-rotations on each qubit, then
+depolarizing), full Pauli tomography (all 256 four-qubit Pauli expectations
+are evaluated directly and inverted), purification to the dominant
+eigenvector, and fidelity scoring with the normalized Hilbert-Schmidt
+overlap trace(ab)/sqrt(trace(a^2) trace(b^2)).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import named_states
 from .amplitude import partner_rule_graph, vertex_amplitude
-from .spin_algebra import PAULI, DenseOperator, StateVector, pauli_embedded
+from .spin_algebra import PAULI, StateVector
 from .tetrahedron import (
     BlochPoint,
     bloch_state,
@@ -33,11 +33,6 @@ DIM = 16
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-
-# Largest polarization keeping the thermal state positive semidefinite:
-# the smallest diagonal entry is (1 - eps)/16 - 4*eps, non-negative iff
-# eps <= 1/65.
-THERMAL_EPSILON_MAX = 1.0 / 65.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,42 +65,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class NMRParams:
-    """Chemical shifts (Hz), J couplings (Hz) and polarization of 4 spins."""
-
-    nu: tuple[float, float, float, float]
-    jcoup: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        if len(self.nu) != 4:
-            raise ValueError("need four chemical shifts")
-        j = np.array(self.jcoup, dtype=float)
-        if j.shape != (4, 4):
-            raise ValueError("jcoup must be a 4x4 matrix")
-        if np.abs(j - j.T).max() > 1e-12 or np.abs(np.diag(j)).max() > 1e-12:
-            raise ValueError("jcoup must be symmetric with zero diagonal")
-        j.setflags(write=False)
-        object.__setattr__(self, "jcoup", j)
-        object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
-
-
-# Placeholder spin-system parameters; edit to match a concrete molecule.
-DEFAULT_NMR_PARAMS = NMRParams(
-    nu=(1500.0, 700.0, -300.0, -2100.0),
-    jcoup=np.array(
-        [
-            [0.0, 70.0, 1.5, 7.0],
-            [70.0, 0.0, 35.0, 1.2],
-            [1.5, 35.0, 0.0, 42.0],
-            [7.0, 1.2, 42.0, 0.0],
-        ]
-    ),
-    epsilon=1e-5,
-)
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Depolarizing weight plus per-qubit random z-rotation spread."""
 
@@ -122,55 +81,6 @@ class NoiseSpec:
 
 DEFAULT_NOISE = NoiseSpec()
 ZERO_NOISE = NoiseSpec(depolarizing_p=0.0, rotation_angle_sd=0.0, seed=0)
-
-
-def _sigma_z_sum() -> np.ndarray:
-    return sum(pauli_embedded("z", k, 4).entries for k in range(1, 5))
-
-
-def thermal_state(params: NMRParams) -> DensityMatrix:
-    """Thermal equilibrium state (1-eps)/16 I + eps * sum_j sigma_z^j.
-
-    The deviation term is traceless, so the expression as written has trace
-    1 - eps rather than 1; the returned matrix is renormalized to unit trace.
-    Positivity requires eps <= 1/65.
-    """
-    eps = params.epsilon
-    if not 0.0 <= eps <= THERMAL_EPSILON_MAX:
-        raise ValueError(
-            f"polarization {eps} outside the positivity range [0, {THERMAL_EPSILON_MAX:.6f}]"
-        )
-    rho = (1 - eps) / DIM * np.eye(DIM) + eps * _sigma_z_sum()
-    return DensityMatrix(rho / np.trace(rho).real)
-
-
-def pseudo_pure_state(epsilon: float) -> DensityMatrix:
-    """(1-eps)/16 I + eps |0000><0000|; positive semidefinite for eps in [0, 1]."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"polarization {epsilon} outside the positivity range [0, 1]")
-    rho = (1 - epsilon) / DIM * np.eye(DIM, dtype=complex)
-    rho[0, 0] += epsilon
-    return DensityMatrix(rho)
-
-
-def internal_hamiltonian(params: NMRParams) -> DenseOperator:
-    """Weak-coupling Hamiltonian sum_j pi nu_j sz^j + sum_{j<k} (pi/2) J_jk sz^j sz^k."""
-    h = np.zeros((DIM, DIM), dtype=complex)
-    sz = [pauli_embedded("z", k, 4).entries for k in range(1, 5)]
-    for j in range(4):
-        h += math.pi * params.nu[j] * sz[j]
-    for j in range(4):
-        for k in range(j + 1, 4):
-            h += (math.pi / 2) * params.jcoup[j, k] * sz[j] @ sz[k]
-    return DenseOperator(4, h, hermitian=True)
-
-
-def evolve(rho: DensityMatrix, hamiltonian, t: float) -> DensityMatrix:
-    """Unitary evolution rho -> U rho U^dag with U = exp(-i H t)."""
-    h = hamiltonian.entries if hasattr(hamiltonian, "entries") else np.asarray(hamiltonian)
-    evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    return DensityMatrix(u @ rho.entries @ u.conj().T)
 
 
 _PAULI_LETTERS = ("I", "X", "Y", "Z")

@@ -152,6 +152,19 @@ class TestExperimentCommand:
         target = payload["targets"][0]
         assert {"fidelity", "delta_theory", "delta_measured", "amplitude_purified"} <= set(target)
 
+    def test_point_flags_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--theta", "0.3", "--phi", "1.0"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --theta 0.3 --phi 1.0" in capsys.readouterr().err
+
+    def test_unknown_state_lists_known(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "--states", "A0,Z9")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: unknown state 'Z9'; known: A0, B0, C0, D0, E0, A1, B1, C1, D1, E1\n"
+        )
+
 
 class TestPlumbing:
     def test_unknown_command(self, capsys):
@@ -221,8 +234,9 @@ class TestPlumbing:
         assert csv_delta == json_delta
 
 
-# SHA-256 of the --out bytes, recorded from the code before the spin
-# operators were memoized; any change to a number or its formatting moves them.
+# SHA-256 of the --out bytes, recorded from earlier code; each equals the
+# same argument list in perfbench/goldens.json. Any change to a number or its
+# formatting moves them.
 PINNED_OUTPUTS = {
     ("table1",): "8c225e4a6243be36afb978b27dad772e4d1cdcf8538d38dda8cd94188fab2e1b",
     ("table2", "--format", "json"):
@@ -233,10 +247,27 @@ PINNED_OUTPUTS = {
         "b017e3577d655ae2bbff2d5c397f85bccfbbeb98fefe46fc7f49eebbce09b468",
     ("tetra", "--states", "C0,C1", "--convention", "normals"):
         "94bfdb26ecb5614a4508651e0d529a52b8ee4f34cec035b9999f675f0155c3dd",
+    ("fluct", "--states", "A0,B0"):
+        "2a088643e37e77c7538b6e1fbc01989df0cb82678a9ace4900ef0c776840dc68",
+    ("reconstruct", "--states", "C1"):
+        "ee1711a9e7a519e24ee7805e550250e85edf8295cfa31c4eee13558ce38edf0e",
+    ("reconstruct", "--states", "D1", "--format", "json"):
+        "640c28ca578e2fdfc49af737c95bc67e9b2d9d648f6de4d765d60c83a1008eb6",
+    ("sweep", "--grid-theta", "45", "--grid-phi", "90"):
+        "41ce38dd2298bd89d85b715520c27013149a5168cd9898150a157316e6a75bc6",
+    ("sweep", "--grid-theta", "30", "--grid-phi", "60", "--format", "json"):
+        "3320b70ebcb70e8dcfddf08115ed54d92037e6caac5d46ad778be4f99b192d26",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS), ids=lambda argv: argv[0])
+def _pin_id(argv) -> str:
+    """The command name, plus its arguments when that command is pinned twice."""
+    if sum(key[0] == argv[0] for key in PINNED_OUTPUTS) == 1:
+        return argv[0]
+    return "-".join(arg.lstrip("-") for arg in argv)
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS), ids=_pin_id)
 def test_output_bytes_pinned(argv, tmp_path, capsys):
     path = tmp_path / "out"
     code, _, err = run_cli(capsys, *argv, "--out", str(path))

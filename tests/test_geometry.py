@@ -155,11 +155,10 @@ class TestReconstruct:
             recovered = reconstruct(bumped[:4], bumped[4], bumped[5], rng=0)
             assert np.abs(recovered.edge_lengths() - baseline).max() > 1e-6
 
-    def test_return_all_contains_best(self):
-        solutions = reconstruct([1.0, 1.0, 1.0, 1.0], 1 / 3, 1 / 3, return_all=True)
-        assert len(solutions) >= 1
+    def test_regular_inputs_give_regular_edges(self):
+        tetra = reconstruct([1.0, 1.0, 1.0, 1.0], 1 / 3, 1 / 3)
         expected = 2.0 / 3.0**0.25
-        assert np.abs(solutions[0].edge_lengths() - expected).max() < 1e-8
+        assert np.abs(tetra.edge_lengths() - expected).max() < 1e-8
 
     def test_canonical_gauge_signs(self):
         rng = np.random.default_rng(31)

@@ -1,31 +1,22 @@
-"""Thermal/pseudo-pure states, Pauli tomography, purification, fidelity."""
-
-import math
+"""Density-matrix validation, Pauli tomography, purification, fidelity."""
 
 import numpy as np
 import pytest
 
 from qtetra.named_states import NAMED_POINTS
-from qtetra.spin_algebra import pauli_embedded
 from qtetra.tetrahedron import bloch_state, fluctuation
 from qtetra.tomography import (
-    DEFAULT_NMR_PARAMS,
     DEFAULT_NOISE,
     ZERO_NOISE,
     DegeneracyError,
     DensityMatrix,
-    NMRParams,
     NoiseSpec,
-    evolve,
     fidelity,
-    internal_hamiltonian,
     ml_purify,
     pauli_expectations,
     pauli_strings,
-    pseudo_pure_state,
     rho_from_expectations,
     simulate_experiment,
-    thermal_state,
 )
 
 
@@ -47,99 +38,31 @@ def random_unitary(rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestThermalState:
-    def test_zero_polarization_is_maximally_mixed(self):
-        rho = thermal_state(NMRParams(nu=(0, 0, 0, 0), jcoup=np.zeros((4, 4)), epsilon=0.0))
-        assert np.abs(rho.entries - np.eye(16) / 16).max() < 1e-15
-
-    def test_small_polarization_matches_operator_construction(self):
-        eps = 1e-5
-        params = NMRParams(nu=(0, 0, 0, 0), jcoup=np.zeros((4, 4)), epsilon=eps)
-        rho = thermal_state(params)
-        sz_sum = sum(pauli_embedded("z", k, 4).entries for k in range(1, 5))
-        expected = (1 - eps) / 16 * np.eye(16) + eps * sz_sum
-        expected /= np.trace(expected).real  # the printed form has trace 1 - eps
-        assert np.abs(rho.entries - expected).max() < 1e-15
-        # entry for |0000> before normalization is (1-eps)/16 + 4*eps
-        assert rho.entries[0, 0].real == pytest.approx(
-            ((1 - eps) / 16 + 4 * eps) / (1 - eps), abs=1e-15
-        )
-
-    def test_positivity_bound(self):
-        good = NMRParams(nu=(0, 0, 0, 0), jcoup=np.zeros((4, 4)), epsilon=1 / 65)
-        thermal_state(good)  # boundary value is fine
+class TestDensityMatrix:
+    def test_valid_matrix_is_read_only(self):
+        rho = DensityMatrix(np.eye(16) / 16)
+        assert not rho.entries.flags.writeable
         with pytest.raises(ValueError):
-            thermal_state(NMRParams(nu=(0, 0, 0, 0), jcoup=np.zeros((4, 4)), epsilon=0.02))
+            rho.entries[0, 0] = 1.0
 
-    def test_diagonal(self):
-        rho = thermal_state(DEFAULT_NMR_PARAMS)
-        assert np.abs(rho.entries - np.diag(np.diag(rho.entries))).max() < 1e-15
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"expected a 16x16 matrix, got \(8, 8\)"):
+            DensityMatrix(np.eye(8) / 8)
 
+    def test_not_hermitian(self):
+        rho = np.eye(16, dtype=complex) / 16
+        rho[0, 1] = 0.01j
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            DensityMatrix(rho)
 
-class TestPseudoPureState:
-    def test_full_polarization_is_pure(self):
-        rho = pseudo_pure_state(1.0)
-        evals = np.linalg.eigvalsh(rho.entries)
-        assert evals[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(evals[:-1]).max() < 1e-12
+    def test_trace_not_one(self):
+        with pytest.raises(ValueError, match="must have unit trace, got 2.0"):
+            DensityMatrix(np.eye(16) / 8)
 
-    def test_zero_polarization(self):
-        rho = pseudo_pure_state(0.0)
-        assert np.abs(rho.entries - np.eye(16) / 16).max() < 1e-15
-
-    def test_range(self):
-        with pytest.raises(ValueError):
-            pseudo_pure_state(1.05)
-        with pytest.raises(ValueError):
-            pseudo_pure_state(-0.01)
-
-    def test_unitaries_act_on_the_deviation_part(self):
-        eps = 0.3
-        rho = pseudo_pure_state(eps)
-        rng = np.random.default_rng(71)
-        u = random_unitary(rng)
-        rotated = u @ rho.entries @ u.conj().T
-        psi = u @ ket(0)
-        expected = (1 - eps) / 16 * np.eye(16) + eps * np.outer(psi, psi.conj())
-        assert np.abs(rotated - expected).max() < 1e-12
-
-
-class TestInternalHamiltonian:
-    def test_all_zero(self):
-        params = NMRParams(nu=(0, 0, 0, 0), jcoup=np.zeros((4, 4)), epsilon=1e-5)
-        assert np.abs(internal_hamiltonian(params).entries).max() == 0.0
-
-    def test_single_shift(self):
-        params = NMRParams(nu=(1.0, 0, 0, 0), jcoup=np.zeros((4, 4)), epsilon=1e-5)
-        expected = math.pi * pauli_embedded("z", 1, 4).entries
-        assert np.abs(internal_hamiltonian(params).entries - expected).max() < 1e-12
-
-    def test_precession(self):
-        nu = 7.0
-        params = NMRParams(nu=(nu, 0, 0, 0), jcoup=np.zeros((4, 4)), epsilon=1e-5)
-        h = internal_hamiltonian(params)
-        plus = (ket(0b0000) + ket(0b1000)) / math.sqrt(2)
-        rho = DensityMatrix.from_state(plus)
-        sx = pauli_embedded("x", 1, 4).entries
-        sy = pauli_embedded("y", 1, 4).entries
-        for t in (0.013, 0.21, 0.37):
-            rho_t = evolve(rho, h, t)
-            x = np.trace(rho_t.entries @ sx).real
-            y = np.trace(rho_t.entries @ sy).real
-            assert x == pytest.approx(math.cos(2 * math.pi * nu * t), abs=1e-10)
-            assert x**2 + y**2 == pytest.approx(1.0, abs=1e-10)
-
-    def test_diagonal_and_populations_invariant(self):
-        h = internal_hamiltonian(DEFAULT_NMR_PARAMS)
-        assert np.abs(h.entries - np.diag(np.diag(h.entries))).max() == 0.0
-        rng = np.random.default_rng(73)
-        rho = random_density(rng)
-        rho_t = evolve(rho, h, 0.4)
-        assert np.abs(np.diag(rho_t.entries) - np.diag(rho.entries)).max() < 1e-12
-
-    def test_jcoup_validation(self):
-        with pytest.raises(ValueError):
-            NMRParams(nu=(0, 0, 0, 0), jcoup=np.ones((4, 4)), epsilon=1e-5)
+    def test_negative_eigenvalue(self):
+        rho = np.diag([0.5, 0.6, -0.1] + [0.0] * 13)
+        with pytest.raises(ValueError, match="must be positive semidefinite"):
+            DensityMatrix(rho)
 
 
 class TestPauliTomography:
