@@ -127,7 +127,7 @@ def _cmd_reconstruct(args) -> None:
     for name, point in _collect_points(args):
         base = [name, point.theta, point.phi]
         try:
-            tetra = expectations_to_geometry(point, rng=args.seed)
+            tetra = expectations_to_geometry(point)
         except InfeasibleGeometryError as exc:
             rows.append(base + ["infeasible"] + [math.nan] * 6)
             details.append({"state": name, "theta": point.theta, "phi": point.phi,
@@ -308,14 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output_args(p)
         p.add_argument("--convention", choices=("interior", "normals"), default="interior")
 
-    p = sub.add_parser("reconstruct")
-    _add_point_args(p)
-    _add_output_args(p)
-    p.add_argument("--seed", type=int, default=0, help="restart seed for the solver")
-
-    p = sub.add_parser("amplitude")
-    _add_point_args(p)
-    _add_output_args(p)
+    for name in ("reconstruct", "amplitude"):
+        p = sub.add_parser(name)
+        _add_point_args(p)
+        _add_output_args(p)
 
     p = sub.add_parser("sweep")
     _add_output_args(p)
@@ -364,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
+            if args.command is not None:
+                raise ValueError("--config supplies the command; do not also give one")
             args = parser.parse_args(_argv_from_config(args.config))
         if args.command is None:
             parser.print_usage(sys.stderr)

@@ -6,9 +6,9 @@ D = (d, e, f), which removes translations and rotations. Faces are labeled
     1 = ABC, 2 = ACD, 3 = ABD, 4 = BCD
 
 and carry outward-oriented area vectors (half cross products pointing away
-from the opposite vertex). Reconstruction solves the six constraints
-(four face areas plus two dihedral cosines) for the six gauge parameters
-with a damped least-squares iteration and random restarts.
+from the opposite vertex). Reconstruction checks that four face areas and two
+dihedral cosines admit a tetrahedron (their area-vector Gram matrix is PSD of
+rank 3), then solves for the six gauge parameters by damped least squares.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ DEGENERACY_ATOL = 1e-12
 class InfeasibleGeometryError(ValueError):
     """No tetrahedron matches the requested areas and angles."""
 
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(f"{message} (best residual {best_residual:.3e})")
-        self.best_residual = best_residual
+    def __init__(self, message: str, gram_eigenvalues):
+        self.gram_eigenvalues = tuple(float(v) for v in gram_eigenvalues)
+        listed = ", ".join(f"{v:.3e}" for v in self.gram_eigenvalues)
+        super().__init__(f"{message} (Gram eigenvalues {listed})")
 
 
 @dataclass(frozen=True)
@@ -152,86 +153,87 @@ def _residuals(x: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: f
 
 def _canonical_gauge(x: np.ndarray) -> np.ndarray:
     a, b, c, d, e, f = x
-    if a < 0:  # reflect x -> -x
-        a, b, d = -a, -b, -d
-    if c < 0:  # reflect y -> -y
-        c, e = -c, -e
-    if f < 0:  # reflect z -> -z
-        f = -f
-    return np.array([a, b, c, d, e, f])
+    sx, sy = (-1.0 if a < 0 else 1.0), (-1.0 if c < 0 else 1.0)  # reflect to a, c, f >= 0
+    return np.array([sx * a, sx * b, sy * c, sx * d, sy * e, abs(f)])
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(0 if rng is None else rng)
+def _gram_matrix(areas: np.ndarray, c12: float, c13: float, sign: float) -> np.ndarray:
+    """Gram matrix F_i . F_j of the area vectors; closure fixes F2 . F3 via |F4| = |F1+F2+F3|."""
+    g = np.diag(areas[:3] ** 2)
+    g[0, 1] = g[1, 0] = sign * areas[0] * areas[1] * c12
+    g[0, 2] = g[2, 0] = sign * areas[0] * areas[2] * c13
+    g[1, 2] = g[2, 1] = (areas[3] ** 2 - g.sum()) / 2
+    closure = np.hstack([np.eye(3), -np.ones((3, 1))])  # F4 = -(F1 + F2 + F3)
+    return closure.T @ g @ closure
+
+
+def _gram_start(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """Minkowski reconstruction: gauge parameters from the Gram matrix's factor F1..F4.
+
+    A = 0, B = k F1xF3, C = -k F1xF2, D = -k F2xF3; k = 2/(3V), V = sqrt(2|F1.(F2xF3)|/9).
+    """
+    f1, f2, f3 = (eigenvectors[:, 1:] * np.sqrt(eigenvalues[1:]))[:3]
+    k = 2.0 / (3.0 * np.sqrt(2.0 * abs(f1 @ np.cross(f2, f3)) / 9.0))
+    edges = k * np.stack([np.cross(f1, f3), -np.cross(f1, f2), -np.cross(f2, f3)], axis=1)
+    r = np.linalg.qr(edges, mode="r")  # rotates (B, C, D) into the gauge
+    return r[[0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]]
+
+
+def _solve(start: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: float):
+    """Canonical gauge parameters from one damped least-squares solve, or None on a miss."""
+    result = least_squares(_residuals, start, args=(areas, c12, c13, sign), method="lm",
+                           xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
+    params = _canonical_gauge(result.x)
+    if np.linalg.norm(result.fun) >= RESIDUAL_ACCEPT or np.any(params[[0, 2, 5]] < 1e-12):
+        return None  # missed, or converged to a flat configuration
+    return params
 
 
 def reconstruct(
-    areas,
-    cos12: float,
-    cos13: float,
-    convention: str = "interior",
-    rng=None,
-    max_restarts: int = 32,
+    areas, cos12: float, cos13: float, convention: str = "interior"
 ) -> TetrahedronVertices:
     """Solve for the tetrahedron matching four areas and two dihedral cosines.
+
+    One exists iff the area vectors' Gram matrix is PSD of rank 3. The solver
+    starts from a regular tetrahedron and, if that misses, from the Gram one.
 
     Args:
         areas: the four face areas, in face-label order.
         cos12, cos13: target cosines of the dihedral angles between faces
             (1,2) and (1,3); read per ``convention`` ("interior" measures the
             interior angle, "normals" the angle between outward normals).
-        rng: seed or Generator driving the random restarts (default seed 0).
-        max_restarts: solver starts tried, the first from a regular
-            tetrahedron; the first accepted solution is returned.
 
     Raises:
-        InfeasibleGeometryError: no restart reached residual norm 1e-8.
+        ValueError: malformed input, non-finite values included.
+        InfeasibleGeometryError: no tetrahedron exists, or neither start
+            reached residual norm 1e-8; it carries the Gram eigenvalues.
     """
     areas = np.asarray(areas, dtype=float)
-    if areas.shape != (4,) or np.any(areas <= 0):
-        raise ValueError("need four positive face areas")
+    if areas.shape != (4,) or not np.all(np.isfinite(areas) & (areas > 0)):
+        raise ValueError("need four positive finite face areas")
     for name, value in (("cos12", cos12), ("cos13", cos13)):
-        if abs(value) > 1.0:
+        if not -1.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [-1, 1], got {value}")
     if convention not in ("interior", "normals"):
         raise ValueError(f"unknown convention {convention!r}")
     sign = -1.0 if convention == "interior" else 1.0
 
-    generator = _as_rng(rng)
+    eigenvalues, eigenvectors = np.linalg.eigh(_gram_matrix(areas, cos12, cos13, sign))
+    if eigenvalues[1] <= DEGENERACY_ATOL * eigenvalues[-1]:
+        raise InfeasibleGeometryError("no tetrahedron: Gram matrix not PSD of rank 3", eigenvalues)
+
     # regular tetrahedron scaled to the mean requested area
     edge = np.sqrt(np.mean(areas) / (np.sqrt(3) / 4))
     x0 = edge * np.array([1.0, 0.5, np.sqrt(3) / 2, 0.5, np.sqrt(3) / 6, np.sqrt(6) / 3])
-
-    best_residual = np.inf
-    for trial in range(max_restarts):
-        start = x0 if trial == 0 else x0 * (1.0 + 0.6 * generator.standard_normal(6))
-        try:
-            result = least_squares(
-                _residuals,
-                start,
-                args=(areas, cos12, cos13, sign),
-                method="lm",
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=400,
-            )
-        except Exception:
-            continue
-        residual = float(np.linalg.norm(result.fun))
-        best_residual = min(best_residual, residual)
-        if residual < RESIDUAL_ACCEPT:
-            params = _canonical_gauge(result.x)
-            if abs(params[0]) < 1e-12 or abs(params[2]) < 1e-12 or abs(params[5]) < 1e-12:
-                continue  # converged to a flat configuration
-            return TetrahedronVertices(*params)
-
-    raise InfeasibleGeometryError("infeasible geometry", best_residual)
+    params = _solve(x0, areas, cos12, cos13, sign)
+    if params is None:
+        params = _solve(_gram_start(eigenvalues, eigenvectors), areas, cos12, cos13, sign)
+    if params is None:
+        raise InfeasibleGeometryError("solver missed the tetrahedron", eigenvalues)
+    return TetrahedronVertices(*params)
 
 
-def expectations_to_geometry(point, rng=None) -> TetrahedronVertices:
+def expectations_to_geometry(point) -> TetrahedronVertices:
     """Reconstruct the classical tetrahedron matching a Bloch point.
 
     All four areas are the sharp value sqrt(3/4) (units of 8*pi*l_P^2); the two
@@ -240,5 +242,4 @@ def expectations_to_geometry(point, rng=None) -> TetrahedronVertices:
     as InfeasibleGeometryError.
     """
     c12, c13, _ = independent_dihedral_expectations(point, "interior")
-    area = area_eigenvalue()
-    return reconstruct([area] * 4, c12, c13, convention="interior", rng=rng)
+    return reconstruct([area_eigenvalue()] * 4, c12, c13, convention="interior")

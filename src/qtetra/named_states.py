@@ -68,6 +68,7 @@ INCONSISTENT_ENTRY = "C1"
 
 REGULAR_CANDIDATES = ("C0", "C1")
 RULE_CANDIDATES = ("increasing", "decreasing", "cyclic", "anticyclic")
+CALIBRATION_TOLERANCE = 1e-3
 
 # Frozen winner of calibrate_reference_convention().
 DEFAULT_RULE = "cyclic"
@@ -166,18 +167,18 @@ class CalibrationResult:
     comparison: ReferenceComparison
 
 
-def calibrate_reference_convention(tolerance: float = 1e-3) -> CalibrationResult:
+def calibrate_reference_convention() -> CalibrationResult:
     """Search slot rules x regular candidates for the reference match.
 
     Candidates are scored on the nine mutually consistent entries (including
-    the exact zero required at C0); the first rule/regular pair in the fixed
-    candidate order whose worst relative error is below ``tolerance`` wins.
+    the exact zero required at C0); the first pair in the fixed candidate
+    order whose worst relative error is below ``CALIBRATION_TOLERANCE`` wins.
     """
     for rule in RULE_CANDIDATES:
         for regular in REGULAR_CANDIDATES:
             comparison = reference_comparison(rule, regular)
             if (
-                comparison.max_consistent_error() < tolerance
+                comparison.max_consistent_error() < CALIBRATION_TOLERANCE
                 and comparison.errors_consistent["C0"] < 1e-6
             ):
                 return CalibrationResult(rule=rule, regular=regular, comparison=comparison)

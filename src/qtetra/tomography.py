@@ -33,6 +33,7 @@ DIM = 16
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+PURIFY_GAP_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +130,16 @@ class DegeneracyError(ValueError):
     """The dominant eigenvalue of a density matrix is not unique."""
 
 
-def ml_purify(rho: DensityMatrix, gap_atol: float = 1e-10) -> StateVector:
+def ml_purify(rho: DensityMatrix) -> StateVector:
     """The pure state maximizing <psi|rho|psi>: the dominant eigenvector.
 
     The global phase is fixed by making the largest-magnitude component real
     and positive. Raises DegeneracyError when the top eigenvalue gap is
-    below ``gap_atol``.
+    below ``PURIFY_GAP_ATOL``.
     """
     evals, evecs = np.linalg.eigh(rho.entries)
     gap = evals[-1] - evals[-2]
-    if gap < gap_atol:
+    if gap < PURIFY_GAP_ATOL:
         raise DegeneracyError(
             f"dominant eigenvalue is degenerate (gap {gap:.3e} between "
             f"{evals[-1]:.6f} and {evals[-2]:.6f})"
@@ -232,8 +233,6 @@ class ExperimentReport:
 def simulate_experiment(
     targets: dict[str, BlochPoint] | None = None,
     noise: NoiseSpec = DEFAULT_NOISE,
-    rule: str = named_states.DEFAULT_RULE,
-    regular: str = named_states.DEFAULT_REGULAR,
 ) -> ExperimentReport:
     """Prepare, corrupt, tomograph, purify and score each target state.
 
@@ -250,6 +249,7 @@ def simulate_experiment(
     if targets is None:
         targets = named_states.NAMED_POINTS
     rng = np.random.default_rng(noise.seed)
+    rule, regular = named_states.DEFAULT_RULE, named_states.DEFAULT_REGULAR
     graph = partner_rule_graph(rule)
     reg = named_states.regular_state(regular)
 

@@ -241,9 +241,7 @@ def test_criterion_7_reconstruction_round_trip():
         areas = areas_from_vertices(original)
         mags = areas.magnitudes
         normals = areas.vectors / mags[:, None]
-        recovered = reconstruct(
-            mags, -(normals[0] @ normals[1]), -(normals[0] @ normals[2]), rng=rng
-        )
+        recovered = reconstruct(mags, -(normals[0] @ normals[1]), -(normals[0] @ normals[2]))
         worst = max(worst, np.abs(recovered.edge_lengths() - original.edge_lengths()).max())
 
     regular = reconstruct([1.0, 1.0, 1.0, 1.0], 1 / 3, 1 / 3)

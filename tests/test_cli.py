@@ -78,6 +78,19 @@ class TestReconstruct:
         cells = out.strip().split("\n")[1].split(",")
         assert cells[3] == "infeasible"
 
+    def test_infeasible_detail_carries_gram_eigenvalues(self, capsys):
+        code, out, _ = run_cli(capsys, "reconstruct", "--states", "A0", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[0]["status"] == "infeasible"
+        assert "Gram eigenvalues" in payload[0]["detail"]
+
+    def test_seed_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reconstruct", "--states", "C1", "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_json_contains_vertices(self, capsys):
         code, out, _ = run_cli(capsys, "reconstruct", "--states", "C1", "--format", "json")
         assert code == 0
@@ -220,6 +233,15 @@ class TestPlumbing:
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 6
 
+    def test_config_with_command_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("command = table2\n")
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "sweep", "--grid-theta", "2", "--grid-phi", "2"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_config_requires_command(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("grid_theta = 2\n")
@@ -253,6 +275,8 @@ PINNED_OUTPUTS = {
         "ee1711a9e7a519e24ee7805e550250e85edf8295cfa31c4eee13558ce38edf0e",
     ("reconstruct", "--states", "D1", "--format", "json"):
         "640c28ca578e2fdfc49af737c95bc67e9b2d9d648f6de4d765d60c83a1008eb6",
+    ("reconstruct", "--states", "B0,D0", "--format", "json"):
+        "d243403c00a9027167afb00044a8cf16a521b54d273a4d19488e5be69cb5b43c",
     ("sweep", "--grid-theta", "45", "--grid-phi", "90"):
         "41ce38dd2298bd89d85b715520c27013149a5168cd9898150a157316e6a75bc6",
     ("sweep", "--grid-theta", "30", "--grid-phi", "60", "--format", "json"):

@@ -1,6 +1,7 @@
 """Classical tetrahedron construction, closure, and reconstruction."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qtetra.geometry import (
     expectations_to_geometry,
     reconstruct,
 )
-from qtetra.tetrahedron import BlochPoint
+from qtetra.tetrahedron import BlochPoint, independent_dihedral_expectations
 
 
 def regular_tetrahedron(edge: float = 1.0) -> TetrahedronVertices:
@@ -107,6 +108,15 @@ def measured_inputs(tetra: TetrahedronVertices):
     return mags, cos12, cos13
 
 
+def assert_matches_targets(tetra: TetrahedronVertices, point: BlochPoint) -> None:
+    """Face areas sqrt(3/4) and the point's interior cosines, within 1e-8."""
+    mags, cos12, cos13 = measured_inputs(tetra)
+    c12, c13, _ = independent_dihedral_expectations(point)
+    assert np.abs(mags - math.sqrt(0.75)).max() < 1e-8
+    assert cos12 == pytest.approx(c12, abs=1e-8)
+    assert cos13 == pytest.approx(c13, abs=1e-8)
+
+
 class TestReconstruct:
     def test_regular_from_unit_areas(self):
         tetra = reconstruct([1.0, 1.0, 1.0, 1.0], 1 / 3, 1 / 3)
@@ -120,20 +130,20 @@ class TestReconstruct:
         for _ in range(100):
             original = random_tetrahedron(rng)
             mags, cos12, cos13 = measured_inputs(original)
-            recovered = reconstruct(mags, cos12, cos13, rng=rng)
+            recovered = reconstruct(mags, cos12, cos13)
             assert np.abs(recovered.edge_lengths() - original.edge_lengths()).max() < 1e-8
 
     def test_normals_convention(self):
         rng = np.random.default_rng(23)
         original = random_tetrahedron(rng)
         mags, cos12, cos13 = measured_inputs(original)
-        recovered = reconstruct(mags, -cos12, -cos13, convention="normals", rng=rng)
+        recovered = reconstruct(mags, -cos12, -cos13, convention="normals")
         assert np.abs(recovered.edge_lengths() - original.edge_lengths()).max() < 1e-8
 
     def test_closure_violating_areas_are_infeasible(self):
         with pytest.raises(InfeasibleGeometryError) as excinfo:
-            reconstruct([1.0, 1.0, 1.0, 10.0], 1 / 3, 1 / 3, max_restarts=8)
-        assert excinfo.value.best_residual > 1e-3
+            reconstruct([1.0, 1.0, 1.0, 10.0], 1 / 3, 1 / 3)
+        assert min(excinfo.value.gram_eigenvalues) < -1e-3
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -143,16 +153,30 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct([1.0, 1.0, 1.0, 1.0], 0.3, 0.3, convention="outward")
 
+    @pytest.mark.parametrize(
+        "areas, cos12, cos13",
+        [
+            ([1.0, 1.0, math.nan, 1.0], 0.3, 0.3),
+            ([1.0, math.inf, 1.0, 1.0], 0.3, 0.3),
+            ([1.0, 1.0, 1.0, 1.0], math.nan, 0.3),
+            ([1.0, 1.0, 1.0, 1.0], 0.3, math.nan),
+        ],
+        ids=["nan-area", "inf-area", "nan-cos12", "nan-cos13"],
+    )
+    def test_non_finite_input_rejected(self, areas, cos12, cos13):
+        with pytest.raises(ValueError) as excinfo:
+            reconstruct(areas, cos12, cos13)
+        assert not isinstance(excinfo.value, InfeasibleGeometryError)
+
     def test_each_input_changes_the_shape(self):
-        rng = np.random.default_rng(29)
         base = TetrahedronVertices(a=1.1, b=0.3, c=0.9, d=0.25, e=0.45, f=0.8)
         mags, cos12, cos13 = measured_inputs(base)
-        baseline = reconstruct(mags, cos12, cos13, rng=0).edge_lengths()
+        baseline = reconstruct(mags, cos12, cos13).edge_lengths()
         inputs = list(mags) + [cos12, cos13]
         for i in range(6):
             bumped = list(inputs)
             bumped[i] += 1e-4
-            recovered = reconstruct(bumped[:4], bumped[4], bumped[5], rng=0)
+            recovered = reconstruct(bumped[:4], bumped[4], bumped[5])
             assert np.abs(recovered.edge_lengths() - baseline).max() > 1e-6
 
     def test_regular_inputs_give_regular_edges(self):
@@ -165,7 +189,7 @@ class TestReconstruct:
         for _ in range(10):
             original = random_tetrahedron(rng)
             mags, cos12, cos13 = measured_inputs(original)
-            recovered = reconstruct(mags, cos12, cos13, rng=rng)
+            recovered = reconstruct(mags, cos12, cos13)
             assert recovered.a > 0 and recovered.c > 0 and recovered.f > 0
 
 
@@ -179,16 +203,28 @@ class TestExpectationsToGeometry:
 
     def test_north_pole_is_degenerate(self):
         # <cos12> = 1 there: faces 1 and 2 would have to be coplanar
-        with pytest.raises(InfeasibleGeometryError):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleGeometryError) as excinfo:
             expectations_to_geometry(BlochPoint(0.0, 0.0))
+        assert time.perf_counter() - start < 1.0
+        eigenvalues = excinfo.value.gram_eigenvalues
+        assert len(eigenvalues) == 4
+        assert sum(abs(v) < 1e-12 for v in eigenvalues) == 2
+        assert "Gram eigenvalues" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(5e-4, 1.0), (2 * math.pi / 3 + 0.01, math.pi)],
+        ids=["pole-band", "near-singular-cos14"],
+    )
+    def test_near_singular_points_reconstruct(self, theta, phi):
+        # a tetrahedron exists here; a solve from the regular start misses it
+        point = BlochPoint(theta, phi)
+        start = time.perf_counter()
+        tetra = expectations_to_geometry(point)
+        assert time.perf_counter() - start < 5.0
+        assert_matches_targets(tetra, point)
 
     def test_generic_point_round_trips(self):
         point = BlochPoint(4 * math.pi / 5, 0.0)
-        tetra = expectations_to_geometry(point)
-        mags, cos12, cos13 = measured_inputs(tetra)
-        from qtetra.tetrahedron import independent_dihedral_expectations
-
-        c12, c13, _ = independent_dihedral_expectations(point)
-        assert np.abs(mags - math.sqrt(0.75)).max() < 1e-8
-        assert cos12 == pytest.approx(c12, abs=1e-8)
-        assert cos13 == pytest.approx(c13, abs=1e-8)
+        assert_matches_targets(expectations_to_geometry(point), point)
