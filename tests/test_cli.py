@@ -281,12 +281,28 @@ PINNED_OUTPUTS = {
         "41ce38dd2298bd89d85b715520c27013149a5168cd9898150a157316e6a75bc6",
     ("sweep", "--grid-theta", "30", "--grid-phi", "60", "--format", "json"):
         "3320b70ebcb70e8dcfddf08115ed54d92037e6caac5d46ad778be4f99b192d26",
+    ("sweep", "--grid-theta", "60", "--grid-phi", "120"):
+        "d91010d81445e8196cda8593d1fbaf2a0f09bca0d6ce4f8cac23a44a37992f71",
+    ("amplitude", "--states", "A0"):
+        "e0c6d9fdeb524e4913dee3e65c65e81ecb9b5c65ca0e71448468913433a569ac",
+    ("amplitude", "--theta", "0.7", "--phi", "2.0", "--format", "json"):
+        "d042cd4b6a6fc319ee07a5199e3bc1c8850cc364db74516569eb4f3b8ae7ff01",
+    ("experiment", "--seed", "1", "--states", "A0,C1"):
+        "f73c40e46f2d759badbb330753ba1d0c12e9a669e6993b2e3f84584db4315d05",
+    ("experiment", "--seed", "42", "--format", "json"):
+        "979a191c31b1e32718ac80e0dafbaecae6b39093de6020ac0b39d262a60c3413",
+    ("table1", "--format", "json"):
+        "8f88619ac637f57bf51370da343a6b011706d6bffe4bac15dc327fada339ad2e",
 }
 
 
+# The first pins, one per command, keep the bare command name as their id.
+_BARE_ID_PINS = 6
+
+
 def _pin_id(argv) -> str:
-    """The command name, plus its arguments when that command is pinned twice."""
-    if sum(key[0] == argv[0] for key in PINNED_OUTPUTS) == 1:
+    """The command name for a first pin, else the command with its arguments."""
+    if list(PINNED_OUTPUTS).index(argv) < _BARE_ID_PINS:
         return argv[0]
     return "-".join(arg.lstrip("-") for arg in argv)
 
