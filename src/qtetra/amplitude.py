@@ -23,13 +23,14 @@ first endpoint). Two named slot assignments are provided:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .spin_algebra import StateVector
+from .spin_algebra import StateVector, _state_amplitudes
 from .tetrahedron import InvariantTensor, bloch_coefficients, logical_basis
 
 NODES = (1, 2, 3, 4, 5)
@@ -114,7 +115,15 @@ def k5_graph(partner_orders: dict[int, Sequence[int]]) -> SpinNetworkGraph:
 
 
 def partner_rule_graph(rule: str) -> SpinNetworkGraph:
-    """Named slot-assignment rules: increasing, decreasing, cyclic, anticyclic."""
+    """Named slot-assignment rules: increasing, decreasing, cyclic, anticyclic.
+
+    Built once per rule; the returned graph is shared (it is immutable).
+    """
+    return _partner_rule_graph(rule)
+
+
+@functools.cache
+def _partner_rule_graph(rule: str) -> SpinNetworkGraph:
     orders: dict[int, list[int]] = {}
     for n in NODES:
         others = sorted(set(NODES) - {n})
@@ -144,14 +153,7 @@ def cyclic_k5() -> SpinNetworkGraph:
 def _as_amplitudes(state) -> np.ndarray:
     if isinstance(state, InvariantTensor):
         return state.embedded.amplitudes
-    if isinstance(state, StateVector):
-        if state.n_qubits != 4:
-            raise ValueError(f"node states must have 4 qubits, got {state.n_qubits}")
-        return state.amplitudes
-    arr = np.asarray(state, dtype=complex).reshape(-1)
-    if arr.size != 16:
-        raise ValueError(f"node states need 16 amplitudes, got {arr.size}")
-    return arr
+    return _state_amplitudes(state, 4)
 
 
 def _node_tensors(states) -> list[np.ndarray]:
@@ -240,9 +242,10 @@ def amplitude_sweep(fixed, theta_grid, phi_grid, graph: SpinNetworkGraph) -> np.
     phis = np.asarray(phi_grid, dtype=float)
     if thetas.size == 0 or phis.size == 0:
         raise ValueError("theta and phi grids must be non-empty")
-    if np.any(thetas < 0) or np.any(thetas > math.pi):
+    # written so that NaN, which fails every comparison, is out of range too
+    if not np.all((thetas >= 0) & (thetas <= math.pi)):
         raise ValueError("theta grid must lie within [0, pi]")
-    if np.any(phis < 0) or np.any(phis >= 2 * math.pi):
+    if not np.all((phis >= 0) & (phis < 2 * math.pi)):
         raise ValueError("phi grid must lie within [0, 2*pi)")
     if len(fixed) != 4:
         raise ValueError(f"need exactly 4 fixed states, got {len(fixed)}")

@@ -17,6 +17,7 @@ byte-identical files. Floats are written with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 
 from . import named_states, tomography
-from .amplitude import amplitude_sweep, partner_rule_graph, vertex_amplitude
+from .amplitude import amplitude_sweep, partner_rule_graph
 from .geometry import InfeasibleGeometryError, expectations_to_geometry
 from .tetrahedron import (
     BlochPoint,
@@ -150,21 +151,13 @@ def _cmd_reconstruct(args) -> None:
     _emit(header, rows, args, details)
 
 
-def _amplitude_context():
-    """The frozen convention: cyclic slot pairing, C1 regulars."""
-    graph = partner_rule_graph(named_states.DEFAULT_RULE)
-    return graph, named_states.regular_state(named_states.DEFAULT_REGULAR)
-
-
 def _cmd_amplitude(args) -> None:
-    graph, reg = _amplitude_context()
     header = ["state", "theta", "phi", "re", "im", "abs", "phase"]
     rows = []
     for name, point in _collect_points(args):
-        result = vertex_amplitude([reg] * 4 + [bloch_state(point)], graph)
+        value = named_states.fifth_node_amplitude(bloch_state(point))
         rows.append(
-            [name, point.theta, point.phi, result.value.real, result.value.imag,
-             result.magnitude, result.phase]
+            [name, point.theta, point.phi, value.real, value.imag, abs(value), cmath.phase(value)]
         )
     _emit(header, rows, args)
 
@@ -172,10 +165,12 @@ def _cmd_amplitude(args) -> None:
 def _cmd_sweep(args) -> None:
     if args.grid_theta < 1 or args.grid_phi < 1:
         raise ValueError("--grid-theta and --grid-phi must be positive")
-    graph, reg = _amplitude_context()
     thetas = np.linspace(0.0, math.pi, args.grid_theta)
     phis = np.linspace(0.0, 2 * math.pi, args.grid_phi, endpoint=False)
-    grid = amplitude_sweep([reg] * 4, thetas, phis, graph)
+    grid = amplitude_sweep(
+        [named_states.regular_state()] * 4, thetas, phis,
+        partner_rule_graph(named_states.DEFAULT_RULE),
+    )
     header = ["theta", "phi", "re", "im", "abs", "phase"]
     rows = []
     for i, theta in enumerate(thetas):

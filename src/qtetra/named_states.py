@@ -81,6 +81,12 @@ def regular_state(name: str = DEFAULT_REGULAR):
     return bloch_state(NAMED_POINTS[name])
 
 
+def fifth_node_amplitude(state) -> complex:
+    """Vertex amplitude with ``state`` at node 5, DEFAULT_REGULAR elsewhere, on DEFAULT_RULE."""
+    states = [regular_state()] * 4 + [state]
+    return vertex_amplitude(states, partner_rule_graph(DEFAULT_RULE)).value
+
+
 def _fit_scale(computed: np.ndarray, reference: np.ndarray) -> complex:
     # least-squares single complex scale: argmin_s sum |s*computed - reference|^2
     denom = np.vdot(computed, computed)

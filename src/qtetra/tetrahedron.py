@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import AXES, DenseOperator, StateVector, angular_momentum, closure_defect
+from .spin_algebra import AXES, DenseOperator, StateVector, angular_momentum
 
 CONVENTIONS = ("interior", "normals")
-
-CLOSURE_ATOL = 1e-10
 
 # Closure makes opposite pairs interchangeable: (3,4)~(1,2), (2,4)~(1,3), (2,3)~(1,4).
 PAIR_CLASS = {
@@ -118,23 +116,18 @@ class DihedralPair:
 
 @dataclass(frozen=True, eq=False)
 class InvariantTensor:
-    """A Bloch point together with its embedded 16-dimensional state."""
+    """A Bloch point and the 16-dimensional invariant state derived from it.
+
+    Only the point is given; ``embedded`` is alpha|0_L> + beta|1_L>, invariant
+    by construction because the logical basis spans the invariant subspace.
+    """
 
     point: BlochPoint
-    embedded: StateVector
+    embedded: StateVector = field(init=False)
 
     def __post_init__(self):
-        defect = closure_defect(self.embedded)
-        if defect >= CLOSURE_ATOL:
-            raise ValueError(f"embedded state is not invariant: closure defect {defect:.3e}")
-        alpha = math.cos(self.point.theta / 2)
-        beta = np.exp(1j * self.point.phi) * math.sin(self.point.theta / 2)
-        expected = alpha * _ZERO_L + beta * _ONE_L
-        gap = np.abs(self.embedded.amplitudes - expected).max()
-        if gap >= 1e-12:
-            raise ValueError(
-                f"embedded state deviates from its Bloch point by {gap:.3e}"
-            )
+        alpha, beta = bloch_coefficients(self.point)
+        object.__setattr__(self, "embedded", StateVector(4, alpha * _ZERO_L + beta * _ONE_L))
 
 
 def _as_point(point) -> BlochPoint:
@@ -161,10 +154,7 @@ def bloch_coefficients(point) -> np.ndarray:
 
 def bloch_state(point) -> InvariantTensor:
     """Embed a Bloch point as a normalized 4-qubit invariant tensor."""
-    p = _as_point(point)
-    alpha, beta = bloch_coefficients(p)
-    amplitudes = alpha * _ZERO_L + beta * _ONE_L
-    return InvariantTensor(p, StateVector(4, amplitudes))
+    return InvariantTensor(_as_point(point))
 
 
 def area_eigenvalue(spin: float = 0.5) -> float:

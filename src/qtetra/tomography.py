@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import named_states
-from .amplitude import partner_rule_graph, vertex_amplitude
 from .spin_algebra import PAULI, StateVector
 from .tetrahedron import (
     BlochPoint,
@@ -46,6 +45,9 @@ class DensityMatrix:
         arr = np.array(self.entries, dtype=complex)
         if arr.shape != (DIM, DIM):
             raise ValueError(f"expected a {DIM}x{DIM} matrix, got {arr.shape}")
+        # NaN fails every comparison below, so it has to be caught here
+        if not np.isfinite(arr).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(arr - arr.conj().T).max() >= HERMITIAN_ATOL:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(arr).real - 1.0) >= TRACE_ATOL:
@@ -76,8 +78,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_p <= 1.0:
             raise ValueError("depolarizing_p must lie in [0, 1]")
-        if self.rotation_angle_sd < 0.0:
-            raise ValueError("rotation_angle_sd must be non-negative")
+        if not (math.isfinite(self.rotation_angle_sd) and self.rotation_angle_sd >= 0.0):
+            raise ValueError(
+                f"rotation_angle_sd must be finite and non-negative, got {self.rotation_angle_sd}"
+            )
 
 
 DEFAULT_NOISE = NoiseSpec()
@@ -250,9 +254,6 @@ def simulate_experiment(
         targets = named_states.NAMED_POINTS
     rng = np.random.default_rng(noise.seed)
     rule, regular = named_states.DEFAULT_RULE, named_states.DEFAULT_REGULAR
-    graph = partner_rule_graph(rule)
-    reg = named_states.regular_state(regular)
-
     interior_ops = [dihedral_operator(pair, "interior").entries for pair in ((1, 2), (1, 3), (1, 4))]
     reports = []
     for name, point in targets.items():
@@ -273,8 +274,8 @@ def simulate_experiment(
             measured.append(float(mean))
             delta_measured += mean_sq - mean**2
 
-        amp_theory = vertex_amplitude([reg] * 4 + [ideal], graph).value
-        amp_purified = vertex_amplitude([reg] * 4 + [purified], graph).value
+        amp_theory = named_states.fifth_node_amplitude(ideal)
+        amp_purified = named_states.fifth_node_amplitude(purified)
         reports.append(
             TargetReport(
                 name=name,

@@ -21,8 +21,10 @@ from qtetra.amplitude import (
     vertex_amplitude,
     vertex_amplitude_bruteforce,
 )
-from qtetra.named_states import NAMED_POINTS
+from qtetra.named_states import NAMED_POINTS, fifth_node_amplitude, regular_state
+from qtetra.spin_algebra import closure_defect
 from qtetra.tetrahedron import BlochPoint, bloch_state, logical_basis
+from qtetra.tomography import DEFAULT_NOISE, DensityMatrix, apply_noise, ml_purify
 
 
 def random_points(rng, count):
@@ -88,8 +90,13 @@ class TestGraphs:
             k5_graph(orders)
 
     def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            partner_rule_graph("sorted")
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(ValueError, match="unknown slot rule 'sorted'"):
+                partner_rule_graph("sorted")
+
+    @pytest.mark.parametrize("rule", ["increasing", "decreasing", "cyclic", "anticyclic"])
+    def test_each_rule_graph_is_built_once(self, rule):
+        assert partner_rule_graph(rule) is partner_rule_graph(rule)
 
 
 class TestVertexAmplitude:
@@ -145,6 +152,22 @@ class TestVertexAmplitude:
             vertex_amplitude([singlet()] * 5, graph)
         with pytest.raises(ValueError):
             vertex_amplitude([bloch_state((0.0, 0.0))] * 4, graph)
+
+
+class TestFifthNodeAmplitude:
+    def _direct(self, state):
+        return vertex_amplitude([regular_state()] * 4 + [state], cyclic_k5()).value
+
+    def test_bloch_state_bit_for_bit(self):
+        state = bloch_state(BlochPoint(0.7, 2.0))
+        assert fifth_node_amplitude(state) == self._direct(state)
+
+    def test_purified_non_invariant_state_bit_for_bit(self):
+        ideal = DensityMatrix.from_state(bloch_state(NAMED_POINTS["B0"]).embedded)
+        rng = np.random.default_rng(3)
+        purified = ml_purify(apply_noise(ideal, DEFAULT_NOISE, rng))
+        assert closure_defect(purified) > 1e-6
+        assert fifth_node_amplitude(purified) == self._direct(purified)
 
 
 class TestBasisTable:
@@ -256,8 +279,14 @@ class TestSweep:
     def test_out_of_range_grid_rejected(self):
         graph = cyclic_k5()
         reg = bloch_state(NAMED_POINTS["C1"])
-        with pytest.raises(ValueError):
-            amplitude_sweep([reg] * 4, [0.5], [2 * math.pi], graph)
+        for thetas, phis in (
+            ([0.5], [2 * math.pi]),
+            ([math.nan], [0.0]),
+            ([0.0], [math.nan]),
+            ([0.5, math.nan], [0.0, 1.0]),
+        ):
+            with pytest.raises(ValueError):
+                amplitude_sweep([reg] * 4, thetas, phis, graph)
 
     def test_named_coordinates_inside_a_sweep_match_references(self):
         # a rectangular grid covering all ten named (theta, phi) pairs

@@ -171,6 +171,12 @@ class TestExperimentCommand:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --theta 0.3 --phi 1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_rotation_sd_is_one_error_line(self, value, capsys):
+        code, out, err = run_cli(capsys, "experiment", "--states", "A0", "--rotation-sd", value)
+        assert code == 1 and out == ""
+        assert err == f"error: rotation_angle_sd must be finite and non-negative, got {value}\n"
+
     def test_unknown_state_lists_known(self, capsys):
         code, out, err = run_cli(capsys, "experiment", "--states", "A0,Z9")
         assert code == 1 and out == ""

@@ -107,18 +107,26 @@ class TestBlochState:
         assert closure_defect(state.embedded) < 1e-10
 
 
-class TestInvariantTensorBoundary:
-    def test_non_invariant_embedding_reports_its_closure_defect(self):
-        product = np.zeros(16, dtype=complex)
-        product[0] = 1.0
-        # |0000> has J_z = 2 and <J_x^2> = <J_y^2> = 1, so the defect is sqrt(6)
-        with pytest.raises(ValueError, match=r"not invariant: closure defect 2\.449e\+00"):
-            InvariantTensor(BlochPoint(0.0, 0.0), StateVector(4, product))
-
-    def test_wrong_bloch_point_rejected(self):
+class TestInvariantTensorFromPoint:
+    def test_embedding_cannot_be_passed_in(self):
         embedded = bloch_state(BlochPoint(0.3, 1.0)).embedded
-        with pytest.raises(ValueError, match="deviates from its Bloch point"):
-            InvariantTensor(BlochPoint(math.pi / 2, 0.0), embedded)
+        with pytest.raises(TypeError):
+            InvariantTensor(BlochPoint(0.3, 1.0), embedded)
+
+    def test_embedding_is_exact_and_read_only(self):
+        zero_l, one_l = logical_basis()
+        point = BlochPoint(0.3, 1.0)
+        alpha = math.cos(point.theta / 2)
+        beta = np.exp(1j * point.phi) * math.sin(point.theta / 2)
+        tensor = InvariantTensor(point)
+        assert tensor.point is point
+        assert np.array_equal(
+            tensor.embedded.amplitudes, alpha * zero_l.amplitudes + beta * one_l.amplitudes
+        )
+        with pytest.raises(ValueError):
+            tensor.embedded.amplitudes[0] = 0.0
+        with pytest.raises(AttributeError):
+            tensor.embedded = StateVector(4, np.zeros(16))
 
 
 class TestArea:

@@ -64,6 +64,22 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="must be positive semidefinite"):
             DensityMatrix(rho)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries(self, value):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DensityMatrix(np.full((16, 16), value))
+        rho = np.eye(16, dtype=complex) / 16
+        rho[3, 3] = value
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DensityMatrix(rho)
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("sd", [-0.1, np.nan, np.inf])
+    def test_bad_rotation_sd_named_with_its_value(self, sd):
+        with pytest.raises(ValueError, match=f"rotation_angle_sd .* got {sd}"):
+            NoiseSpec(rotation_angle_sd=sd)
+
 
 class TestPauliTomography:
     def test_maximally_mixed(self):
