@@ -31,7 +31,6 @@ from .geometry import (
     InfeasibleGeometryError,
     TetrahedronVertices,
     areas_from_vertices,
-    closure_defect_classical,
     expectations_to_geometry,
     reconstruct,
 )

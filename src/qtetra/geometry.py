@@ -13,6 +13,7 @@ rank 3), then solves for the six gauge parameters by damped least squares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class TetrahedronVertices:
     f: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d", "e", "f"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"gauge parameter {name} must be finite, got {value}")
         if self.a == 0.0 or self.c == 0.0 or self.f == 0.0:
             raise ValueError("degenerate gauge parameters: a, c and f must be nonzero")
 
@@ -102,24 +107,32 @@ class AreaVectorSet:
         return np.linalg.norm(self.vectors, axis=1)
 
 
-def closure_defect_classical(areas) -> float:
-    """Norm of the summed area vectors; zero for any closed surface."""
-    vectors = areas.vectors if isinstance(areas, AreaVectorSet) else np.asarray(areas, float)
-    return float(np.linalg.norm(vectors.sum(axis=0)))
-
-
 # (corner, corner, corner, opposite vertex) index rows for faces 1..4
 _FACES = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 1, 3, 2), (1, 2, 3, 0))
 
 
-def _area_vectors_from_points(points: np.ndarray) -> np.ndarray:
-    out = np.empty((4, 3))
-    for row, (i, j, k, opp) in enumerate(_FACES):
-        vec = 0.5 * np.cross(points[j] - points[i], points[k] - points[i])
-        centroid = (points[i] + points[j] + points[k]) / 3.0
-        if vec @ (centroid - points[opp]) < 0:
-            vec = -vec
-        out[row] = vec
+def _area_vectors_from_points(points) -> list[tuple[float, float, float]]:
+    """Outward area vectors of faces 1..4 from four (x, y, z) float triples.
+
+    Scalar arithmetic in numpy's operation order (``0.5 * np.cross``, centroid
+    ``(pi + pj + pk) / 3``), so every component is bit-identical to the array
+    form. The orientation dot is plain Python and may round differently from
+    numpy's; only its sign is read, which agrees unless the opposite vertex
+    lies within rounding of the face's plane.
+    """
+    out = []
+    for i, j, k, opp in _FACES:
+        (px, py, pz), (qx, qy, qz), (rx, ry, rz), (ox, oy, oz) = (
+            points[i], points[j], points[k], points[opp])
+        ux, uy, uz = qx - px, qy - py, qz - pz
+        wx, wy, wz = rx - px, ry - py, rz - pz
+        vx = 0.5 * (uy * wz - uz * wy)
+        vy = 0.5 * (uz * wx - ux * wz)
+        vz = 0.5 * (ux * wy - uy * wx)
+        cx, cy, cz = (px + qx + rx) / 3.0, (py + qy + ry) / 3.0, (pz + qz + rz) / 3.0
+        if vx * (cx - ox) + vy * (cy - oy) + vz * (cz - oz) < 0:
+            vx, vy, vz = -vx, -vy, -vz
+        out.append((vx, vy, vz))
     return out
 
 
@@ -129,24 +142,26 @@ def areas_from_vertices(tetra: TetrahedronVertices) -> AreaVectorSet:
     scale = max(np.abs(points).max(), 1.0)
     if tetra.volume() < 1e-10 * scale**3:
         raise ValueError("vertices are coplanar (zero volume)")
-    return AreaVectorSet(_area_vectors_from_points(points))
+    return AreaVectorSet(_area_vectors_from_points(points.tolist()))
 
 
 def _residuals(x: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: float) -> np.ndarray:
-    points = np.array([[0.0, 0.0, 0.0], [x[0], 0.0, 0.0], [x[1], x[2], 0.0], x[3:6]])
-    vecs = _area_vectors_from_points(points)
-    mags = np.linalg.norm(vecs, axis=1)
-    if np.any(mags < 1e-12):
+    a, b, c, d, e, f = x.tolist()
+    vecs = _area_vectors_from_points(((0.0, 0.0, 0.0), (a, 0.0, 0.0), (b, c, 0.0), (d, e, f)))
+    mags = [math.sqrt((vx * vx + vy * vy) + vz * vz) for vx, vy, vz in vecs]
+    if any(m < 1e-12 for m in mags):
         return np.full(6, 1e6)
-    normals = vecs / mags[:, None]
+    # Face 1 lies in the z = 0 plane, so n0 = (0, 0, +-1): each dot below has one
+    # nonzero product and rounds once, as numpy's BLAS ``@`` does, FMA or not.
+    n0, n1, n2 = ((vx / m, vy / m, vz / m) for (vx, vy, vz), m in zip(vecs[:3], mags))
     return np.array(
         [
             mags[0] - areas[0],
             mags[1] - areas[1],
             mags[2] - areas[2],
             mags[3] - areas[3],
-            sign * (normals[0] @ normals[1]) - c12,
-            sign * (normals[0] @ normals[2]) - c13,
+            sign * (n0[0] * n1[0] + n0[1] * n1[1] + n0[2] * n1[2]) - c12,
+            sign * (n0[0] * n2[0] + n0[1] * n2[1] + n0[2] * n2[2]) - c13,
         ]
     )
 

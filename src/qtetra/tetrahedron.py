@@ -118,7 +118,8 @@ class DihedralPair:
 class InvariantTensor:
     """A Bloch point and the 16-dimensional invariant state derived from it.
 
-    Only the point is given; ``embedded`` is alpha|0_L> + beta|1_L>, invariant
+    Only the point is given, as a ``BlochPoint`` or a (theta, phi) pair, and it
+    is stored as a ``BlochPoint``; ``embedded`` is alpha|0_L> + beta|1_L>, invariant
     by construction because the logical basis spans the invariant subspace.
     """
 
@@ -126,6 +127,7 @@ class InvariantTensor:
     embedded: StateVector = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "point", _as_point(self.point))
         alpha, beta = bloch_coefficients(self.point)
         object.__setattr__(self, "embedded", StateVector(4, alpha * _ZERO_L + beta * _ONE_L))
 
@@ -154,7 +156,7 @@ def bloch_coefficients(point) -> np.ndarray:
 
 def bloch_state(point) -> InvariantTensor:
     """Embed a Bloch point as a normalized 4-qubit invariant tensor."""
-    return InvariantTensor(_as_point(point))
+    return InvariantTensor(point)
 
 
 def area_eigenvalue(spin: float = 0.5) -> float:

@@ -6,14 +6,15 @@ import time
 import numpy as np
 import pytest
 
+from qtetra import geometry
 from qtetra.geometry import (
     InfeasibleGeometryError,
     TetrahedronVertices,
     areas_from_vertices,
-    closure_defect_classical,
     expectations_to_geometry,
     reconstruct,
 )
+from qtetra.named_states import NAMED_POINTS
 from qtetra.tetrahedron import BlochPoint, independent_dihedral_expectations
 
 
@@ -48,15 +49,11 @@ class TestClosure:
         rng = np.random.default_rng(3)
         for _ in range(20):
             areas = areas_from_vertices(random_tetrahedron(rng))
-            assert closure_defect_classical(areas) < 1e-12
-
-    def test_four_parallel_vectors(self):
-        vectors = np.tile([1.0, 0.0, 0.0], (4, 1))
-        assert closure_defect_classical(vectors) == pytest.approx(4.0)
+            assert np.linalg.norm(areas.vectors.sum(axis=0)) < 1e-12
 
     def test_regular_closes(self):
         areas = areas_from_vertices(regular_tetrahedron())
-        assert closure_defect_classical(areas) < 1e-12
+        assert np.linalg.norm(areas.vectors.sum(axis=0)) < 1e-12
 
 
 class TestAreasFromVertices:
@@ -96,6 +93,11 @@ class TestAreasFromVertices:
     def test_degenerate_gauge_rejected(self):
         with pytest.raises(ValueError):
             TetrahedronVertices(a=0.0, b=0.5, c=1.0, d=0.2, e=0.7, f=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameter_named(self, value):
+        with pytest.raises(ValueError, match=f"gauge parameter e must be finite, got {value}"):
+            TetrahedronVertices(a=1.0, b=0.5, c=1.0, d=0.2, e=value, f=1.0)
 
 
 def measured_inputs(tetra: TetrahedronVertices):
@@ -228,3 +230,127 @@ class TestExpectationsToGeometry:
     def test_generic_point_round_trips(self):
         point = BlochPoint(4 * math.pi / 5, 0.0)
         assert_matches_targets(expectations_to_geometry(point), point)
+
+
+# The array form of the area vectors and residuals, kept verbatim as the
+# reference the scalar form in ``qtetra.geometry`` must match bit for bit.
+_FACES = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 1, 3, 2), (1, 2, 3, 0))
+
+
+def _area_vectors_from_points(points: np.ndarray) -> np.ndarray:
+    out = np.empty((4, 3))
+    for row, (i, j, k, opp) in enumerate(_FACES):
+        vec = 0.5 * np.cross(points[j] - points[i], points[k] - points[i])
+        centroid = (points[i] + points[j] + points[k]) / 3.0
+        if vec @ (centroid - points[opp]) < 0:
+            vec = -vec
+        out[row] = vec
+    return out
+
+
+def _residuals(x: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: float) -> np.ndarray:
+    points = np.array([[0.0, 0.0, 0.0], [x[0], 0.0, 0.0], [x[1], x[2], 0.0], x[3:6]])
+    vecs = _area_vectors_from_points(points)
+    mags = np.linalg.norm(vecs, axis=1)
+    if np.any(mags < 1e-12):
+        return np.full(6, 1e6)
+    normals = vecs / mags[:, None]
+    return np.array(
+        [
+            mags[0] - areas[0],
+            mags[1] - areas[1],
+            mags[2] - areas[2],
+            mags[3] - areas[3],
+            sign * (normals[0] @ normals[1]) - c12,
+            sign * (normals[0] @ normals[2]) - c13,
+        ]
+    )
+
+
+def assert_same_bits(new: np.ndarray, ref: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: every bit, signed zeros included."""
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes(), (new, ref)
+
+
+def near(rng, theta0: float, phi0: float, count: int) -> list[BlochPoint]:
+    """Points within 0.05 rad of (theta0, phi0), in both angles."""
+    return [
+        BlochPoint(
+            theta0 + rng.uniform(-0.05, 0.05),
+            (phi0 + rng.uniform(-0.05, 0.05)) % (2 * math.pi),
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def solver_calls():
+    """Every ``_residuals`` call the solver makes on a seeded set of Bloch points."""
+    rng = np.random.default_rng(6)
+    points = [
+        BlochPoint(math.acos(1 - 2 * rng.uniform()), rng.uniform(0, 2 * math.pi)) for _ in range(8)
+    ]
+    points += [BlochPoint(rng.uniform(1e-4, 1e-3), rng.uniform(0, 2 * math.pi)) for _ in range(2)]
+    points += [BlochPoint(rng.uniform(1e-3, 0.05), rng.uniform(0, 2 * math.pi)) for _ in range(2)]
+    points += near(rng, 2 * math.pi / 3, 0.0, 2) + near(rng, 2 * math.pi / 3, math.pi, 2)
+    points += [point for name, point in NAMED_POINTS.items() if name != "A0"]
+
+    calls = []
+    residuals = geometry._residuals
+
+    def spy(x, areas, c12, c13, sign):
+        calls.append((x.copy(), areas.copy(), c12, c13, sign))
+        return residuals(x, areas, c12, c13, sign)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_residuals", spy)
+        for point in points:
+            expectations_to_geometry(point)
+    return calls
+
+
+class TestScalarResidualsBitIdentical:
+    def test_every_solver_call(self, solver_calls):
+        assert len(solver_calls) > 5000
+        for x, areas, c12, c13, sign in solver_calls:
+            assert_same_bits(
+                geometry._residuals(x, areas, c12, c13, sign), _residuals(x, areas, c12, c13, sign)
+            )
+
+    def test_reflected_gauges(self):
+        rng = np.random.default_rng(11)
+        areas = rng.uniform(0.5, 2.0, 4)
+        for _ in range(300):
+            x = rng.normal(size=6) * rng.choice([1e-3, 1.0, 1e3])
+            negative = rng.permutation([0, 2, 5])[: rng.integers(1, 4)]  # one to three of a, c, f
+            x[negative] = -np.abs(x[negative])
+            c12, c13 = rng.uniform(-1.0, 1.0, 2)
+            for sign in (-1.0, 1.0):
+                assert_same_bits(
+                    geometry._residuals(x, areas, c12, c13, sign),
+                    _residuals(x, areas, c12, c13, sign),
+                )
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0, 0.5, 1.0, 0.2, 0.7, 1.0],  # B = A: faces 1 and 3 vanish
+            [1.0, 0.5, 0.0, 0.3, 0.0, 0.0],  # all four vertices on the x axis
+            [1.0, 2.0, 0.0, 0.2, 0.7, 1.0],  # A, B, C collinear
+        ],
+    )
+    def test_flat_configurations(self, x):
+        x = np.array(x)
+        areas = np.full(4, math.sqrt(0.75))
+        ref = _residuals(x, areas, 1 / 3, 1 / 3, -1.0)
+        assert np.array_equal(ref, np.full(6, 1e6))
+        assert_same_bits(geometry._residuals(x, areas, 1 / 3, 1 / 3, -1.0), ref)
+
+    def test_area_vectors_of_random_tetrahedra(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            tetra = random_tetrahedron(rng)
+            assert_same_bits(
+                areas_from_vertices(tetra).vectors, _area_vectors_from_points(tetra.vertices)
+            )

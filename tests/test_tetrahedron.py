@@ -128,6 +128,14 @@ class TestInvariantTensorFromPoint:
         with pytest.raises(AttributeError):
             tensor.embedded = StateVector(4, np.zeros(16))
 
+    def test_angle_pair_becomes_a_bloch_point(self):
+        tensor = InvariantTensor((0.3, 1.0))
+        assert isinstance(tensor.point, BlochPoint)
+        assert (tensor.point.theta, tensor.point.phi) == (0.3, 1.0)
+        assert np.array_equal(tensor.embedded.amplitudes, bloch_state((0.3, 1.0)).embedded.amplitudes)
+        with pytest.raises(ValueError):
+            InvariantTensor((4.0, 1.0))
+
 
 class TestArea:
     def test_eigenvalue(self):
