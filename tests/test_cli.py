@@ -299,6 +299,10 @@ PINNED_OUTPUTS = {
         "979a191c31b1e32718ac80e0dafbaecae6b39093de6020ac0b39d262a60c3413",
     ("table1", "--format", "json"):
         "8f88619ac637f57bf51370da343a6b011706d6bffe4bac15dc327fada339ad2e",
+    ("sweep", "--grid-theta", "200", "--grid-phi", "400"):
+        "f8bfc7f6336f30a6c167af1c5ef0350b5fcdaa21bfce519b4bf8531b4a9e9403",
+    ("sweep", "--grid-theta", "200", "--grid-phi", "400", "--format", "json"):
+        "55dc6887e167ae1902a017f0ee257e44be6d6bd6af06cb876be715adad2920f8",
 }
 
 
