@@ -18,9 +18,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import itertools
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -37,37 +42,122 @@ from .tetrahedron import (
 COMMANDS = ("tetra", "fluct", "reconstruct", "amplitude", "sweep", "table1", "table2", "experiment")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+_CHUNK_ROWS = 4096
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_csv(header: list[str], rows: list[list], out) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    out.write("\n".join(lines) + "\n")
+def _chunks(rows):
+    """Lists of up to _CHUNK_ROWS consecutive rows."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        yield chunk
+
+
+def _array_rows(table: np.ndarray):
+    """The rows of a 2-D float array as lists of Python floats, one chunk at a time."""
+    for start in range(0, len(table), _CHUNK_ROWS):
+        yield from table[start:start + _CHUNK_ROWS].tolist()
+
+
+def _json_cells(column) -> list[str]:
+    """One column's cells as json.dumps writes them: strings quoted, the rest as floats."""
+    if isinstance(column[0], str):
+        return list(map(json.dumps, column))
+    values = list(map(float, column))
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _write_csv(header: list[str], rows, out) -> None:
+    """Rows as CSV lines, strings verbatim and numbers with 17 significant digits.
+
+    One ``%`` template, built from the first row's cell kinds, formats every
+    row, so all rows must share those kinds.
+    """
+    out.write(",".join(header) + "\n")
+    template = None
+    for chunk in _chunks(rows):
+        if template is None:
+            template = ",".join("%s" if isinstance(c, str) else "%.17g" for c in chunk[0]) + "\n"
+        out.write("".join([template % tuple(row) for row in chunk]))
+
+
+def _write_json_rows(header: list[str], rows, out) -> None:
+    """Rows as a JSON list of objects, written a chunk at a time.
+
+    The bytes equal ``json.dumps(objects, indent=2, sort_keys=True) + "\\n"``
+    for the objects ``dict(zip(header, row))`` with every non-string cell as a
+    float. Cells are converted a column at a time, so each column must hold
+    one kind, and all rows must have the first row's length.
+    """
+    out.write("[")
+    template = None
+    for chunk in _chunks(rows):
+        if template is None:
+            # a dict keeps a repeated key's last cell; zip stops at the row's end
+            last = {key: i for i, key in enumerate(header[: len(chunk[0])])}
+            keys = sorted(last)
+            order = [last[key] for key in keys]
+            quoted = [json.dumps(key).replace("%", "%%") for key in keys]
+            fields = ",\n".join(f"    {key}: %s" for key in quoted)
+            template = "\n  {\n" + fields + "\n  }" if keys else "\n  {}"
+            separator = ""
+        columns = list(zip(*chunk))
+        cells = zip(*[_json_cells(columns[i]) for i in order]) if keys else [()] * len(chunk)
+        out.write(separator + ",".join([template % row for row in cells]))
+        separator = ","
+    out.write("]\n" if template is None else "\n]\n")
 
 
 def _write_json(obj, out) -> None:
     out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(header, rows, args, payload=None) -> None:
-    """Write ``rows`` as CSV, or ``payload`` (default: one dict per row) as JSON."""
-    if args.out in (None, "-"):
-        target = sys.stdout
-        close = False
-    else:
-        target = open(args.out, "w", encoding="utf-8")
-        close = True
+@contextlib.contextmanager
+def _output(path: str):
+    """A text handle on stdout for '-', else on a temporary file next to ``path``.
+
+    The temporary file replaces ``path`` only once the block has finished, so
+    an error midway leaves ``path`` as it was. It takes the mode an existing
+    file at ``path`` has, else the one a new file gets under the umask.
+    """
+    if path in (None, "-"):
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
     try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
+        fd, temporary = tempfile.mkstemp(
+            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        os.chmod(temporary, mode)
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+
+
+def _emit(header, rows, args, payload=None) -> None:
+    """Write the iterable ``rows`` as CSV, or ``payload`` (default: the rows) as JSON."""
+    with _output(args.out) as out:
         if args.format == "csv":
-            _write_csv(header, rows, target)
+            _write_csv(header, rows, out)
+        elif payload is None:
+            _write_json_rows(header, rows, out)
         else:
-            _write_json(_rows_to_json(header, rows) if payload is None else payload, target)
-    finally:
-        if close:
-            target.close()
+            _write_json(payload, out)
 
 
 def _named_points(states: str) -> list[tuple[str, BlochPoint]]:
@@ -171,13 +261,12 @@ def _cmd_sweep(args) -> None:
         [named_states.regular_state()] * 4, thetas, phis,
         partner_rule_graph(named_states.DEFAULT_RULE),
     )
+    theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
+    # np.hypot, not np.abs: it rounds each cell as the scalar abs() of a complex does
+    columns = [theta_grid, phi_grid, grid.real, grid.imag, np.hypot(grid.real, grid.imag),
+               np.angle(grid)]
     header = ["theta", "phi", "re", "im", "abs", "phase"]
-    rows = []
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            value = grid[i, j]
-            rows.append([theta, phi, value.real, value.imag, abs(value), float(np.angle(value))])
-    _emit(header, rows, args)
+    _emit(header, _array_rows(np.column_stack([c.ravel() for c in columns])), args)
 
 
 def _cmd_table1(args) -> None:

@@ -9,20 +9,32 @@ and carry outward-oriented area vectors (half cross products pointing away
 from the opposite vertex). Reconstruction checks that four face areas and two
 dihedral cosines admit a tetrahedron (their area-vector Gram matrix is PSD of
 rank 3), then solves for the six gauge parameters by damped least squares.
+The solver, ``least_squares``, is a module attribute bound from scipy on first
+access, so only a solve pays for importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .tetrahedron import area_eigenvalue, independent_dihedral_expectations
 
 RESIDUAL_ACCEPT = 1e-8
 DEGENERACY_ATOL = 1e-12
+
+
+def __getattr__(name: str):
+    """Bind ``least_squares`` from scipy on first access (PEP 562)."""
+    if name == "least_squares":
+        from scipy.optimize import least_squares
+
+        globals()[name] = least_squares
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InfeasibleGeometryError(ValueError):
@@ -196,8 +208,11 @@ def _gram_start(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray
 
 def _solve(start: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: float):
     """Canonical gauge parameters from one damped least-squares solve, or None on a miss."""
-    result = least_squares(_residuals, start, args=(areas, c12, c13, sign), method="lm",
-                           xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
+    # Looked up on the module, so the first solve binds it and a rebinding
+    # (a wrapper, a spy) is the one called.
+    solver = sys.modules[__name__].least_squares
+    result = solver(_residuals, start, args=(areas, c12, c13, sign), method="lm",
+                    xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
     params = _canonical_gauge(result.x)
     if np.linalg.norm(result.fun) >= RESIDUAL_ACCEPT or np.any(params[[0, 2, 5]] < 1e-12):
         return None  # missed, or converged to a flat configuration

@@ -1,11 +1,19 @@
 """Command-line surface: outputs, formats, determinism, error handling."""
 
+import errno
 import hashlib
+import io
 import json
 import math
+import os
+import stat
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qtetra import cli
 from qtetra.cli import main
 
 
@@ -260,6 +268,156 @@ class TestPlumbing:
         csv_delta = float(csv_out.strip().split("\n")[1].split(",")[3])
         json_delta = json.loads(json_out)[0]["delta"]
         assert csv_delta == json_delta
+
+
+class _DiskFullHandle:
+    """A text handle that passes its first write through, then fails as a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.handle.write(text)
+        self.handle.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+class TestAtomicOut:
+    SWEEP = ("sweep", "--grid-theta", "3", "--grid-phi", "4")
+
+    @pytest.fixture
+    def disk_full(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: _DiskFullHandle(open(*a, **k)),
+                            raising=False)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_no_file(self, fmt, disk_full, tmp_path, capsys):
+        path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *self.SWEEP, "--format", fmt, "--out", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_keeps_existing_file(self, fmt, disk_full, tmp_path, capsys):
+        path = tmp_path / "out"
+        path.write_text("earlier output\n")
+        code, _, err = run_cli(capsys, *self.SWEEP, "--format", fmt, "--out", str(path))
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error:")
+        assert path.read_text() == "earlier output\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            code, _, _ = run_cli(capsys, "table2", "--out", str(tmp_path / "out"))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o640
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys):
+        path = tmp_path / "out"
+        path.write_text("earlier output\n")
+        path.chmod(0o604)
+        code, _, _ = run_cli(capsys, "table2", "--out", str(path))
+        assert code == 0 and path.read_text().startswith("state,theta,phi")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        (tmp_path / "data").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "data" / "out")
+        code, _, _ = run_cli(capsys, "table2", "--out", str(link))
+        assert code == 0 and link.is_symlink()
+        assert (tmp_path / "data" / "out").read_text().startswith("state,theta,phi")
+
+
+# The writers as they were before output was streamed, kept verbatim as the
+# reference the streamed writers must match byte for byte.
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def _write_csv(header: list[str], rows: list[list], out) -> None:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    out.write("\n".join(lines) + "\n")
+
+
+def _write_json(obj, out) -> None:
+    out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _rows_to_json(header: list[str], rows: list[list]) -> list[dict]:
+    return [
+        {key: (cell if isinstance(cell, str) else float(cell)) for key, cell in zip(header, row)}
+        for row in rows
+    ]
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5]),
+    st.floats().map(np.float64),
+    st.integers(-(2**60), 2**60),
+)
+_TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['say "hi"', "back\\slash", "a,b", "naïve Δ", "\u2028", "", "\n"]),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows whose columns each hold one kind of cell."""
+    kinds = draw(st.lists(st.sampled_from([_FLOATS, _TEXTS]), min_size=1, max_size=5))
+    header = draw(st.lists(st.sampled_from(["re", "im", "state", "é", 'k"y', "a,b"])
+                           | st.text(max_size=4), min_size=len(kinds), max_size=len(kinds)))
+    rows = draw(st.lists(st.tuples(*kinds).map(list), max_size=7))
+    return header, rows
+
+
+_ONE_ROW = (["state", "re"], [["C1", np.float64(-0.0)]])
+_NO_ROWS = (["theta", "phi"], [])
+
+
+class TestStreamedWriters:
+    @given(_tables(), st.integers(1, 4))
+    @example(_ONE_ROW, 1)
+    @example(_NO_ROWS, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_csv_matches_reference(self, table, chunk):
+        header, rows = table
+        expected, actual = io.StringIO(), io.StringIO()
+        _write_csv(header, rows, expected)
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+            cli._write_csv(header, iter(rows), actual)
+        assert actual.getvalue() == expected.getvalue()
+
+    @given(_tables(), st.integers(1, 4))
+    @example(_ONE_ROW, 1)
+    @example(_NO_ROWS, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_json_matches_reference(self, table, chunk):
+        header, rows = table
+        expected, actual = io.StringIO(), io.StringIO()
+        _write_json(_rows_to_json(header, rows), expected)
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+            cli._write_json_rows(header, iter(rows), actual)
+        assert actual.getvalue() == expected.getvalue()
 
 
 # SHA-256 of the --out bytes, recorded from earlier code; each equals the

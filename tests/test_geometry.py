@@ -1,11 +1,16 @@
 """Classical tetrahedron construction, closure, and reconstruction."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtetra
 from qtetra import geometry
 from qtetra.geometry import (
     InfeasibleGeometryError,
@@ -230,6 +235,45 @@ class TestExpectationsToGeometry:
     def test_generic_point_round_trips(self):
         point = BlochPoint(4 * math.pi / 5, 0.0)
         assert_matches_targets(expectations_to_geometry(point), point)
+
+
+class TestLazySolverImport:
+    """scipy is imported at the first solve; the solver is the module attribute."""
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(qtetra.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, qtetra, qtetra.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "[]\n"
+
+    def test_first_access_binds_scipy_least_squares(self):
+        import scipy.optimize
+
+        assert geometry.least_squares is scipy.optimize.least_squares
+        assert vars(geometry)["least_squares"] is scipy.optimize.least_squares
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_solver"):
+            geometry.no_such_solver
+
+    def test_solve_calls_the_bound_attribute(self, monkeypatch):
+        solver = geometry.least_squares
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "least_squares", spy)
+        point = BlochPoint(1.1, 0.7)
+        assert_matches_targets(expectations_to_geometry(point), point)
+        assert len(calls) == 1
 
 
 # The array form of the area vectors and residuals, kept verbatim as the
