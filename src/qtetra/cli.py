@@ -90,7 +90,7 @@ def _write_json_rows(header: list[str], rows, out) -> None:
     The bytes equal ``json.dumps(objects, indent=2, sort_keys=True) + "\\n"``
     for the objects ``dict(zip(header, row))`` with every non-string cell as a
     float. Cells are converted a column at a time, so each column must hold
-    one kind, and all rows must have the first row's length.
+    one kind, and all rows must have the first row's length (at least one).
     """
     out.write("[")
     template = None
@@ -102,10 +102,10 @@ def _write_json_rows(header: list[str], rows, out) -> None:
             order = [last[key] for key in keys]
             quoted = [json.dumps(key).replace("%", "%%") for key in keys]
             fields = ",\n".join(f"    {key}: %s" for key in quoted)
-            template = "\n  {\n" + fields + "\n  }" if keys else "\n  {}"
+            template = "\n  {\n" + fields + "\n  }"
             separator = ""
         columns = list(zip(*chunk))
-        cells = zip(*[_json_cells(columns[i]) for i in order]) if keys else [()] * len(chunk)
+        cells = zip(*[_json_cells(columns[i]) for i in order])
         out.write(separator + ",".join([template % row for row in cells]))
         separator = ","
     out.write("]\n" if template is None else "\n]\n")
@@ -121,18 +121,24 @@ def _output(path: str):
 
     The temporary file replaces ``path`` only once the block has finished, so
     an error midway leaves ``path`` as it was. It takes the mode an existing
-    file at ``path`` has, else the one a new file gets under the umask.
+    file at ``path`` has, else the one a new file gets under the umask. A path
+    that is not a regular file (a device such as /dev/null, a pipe) is
+    written in place, since replacing it would destroy it.
     """
     if path in (None, "-"):
         yield sys.stdout
         return
     target = os.path.realpath(path)
     try:
-        mode = stat.S_IMODE(os.stat(target).st_mode)
+        mode = os.stat(target).st_mode
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
-        mode = 0o666 & ~umask
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as handle:
+            yield handle
+        return
     try:
         fd, temporary = tempfile.mkstemp(
             prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target))
@@ -141,7 +147,7 @@ def _output(path: str):
     try:
         with open(fd, "w", encoding="utf-8") as handle:
             yield handle
-        os.chmod(temporary, mode)
+        os.chmod(temporary, stat.S_IMODE(mode))
         os.replace(temporary, target)
     except BaseException:
         with contextlib.suppress(OSError):

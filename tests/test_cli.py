@@ -7,6 +7,7 @@ import json
 import math
 import os
 import stat
+import threading
 from unittest import mock
 
 import numpy as np
@@ -334,6 +335,24 @@ class TestAtomicOut:
         assert code == 0 and path.read_text().startswith("state,theta,phi")
         assert stat.S_IMODE(path.stat().st_mode) == 0o604
         assert os.listdir(tmp_path) == ["out"]
+
+    def test_pipe_is_written_in_place(self, tmp_path, capsys):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        code, _, err = run_cli(capsys, "table2", "--out", str(pipe))
+        reader.join(timeout=30)
+        assert code == 0, err
+        assert not reader.is_alive() and received[0].startswith("state,theta,phi")
+        assert stat.S_ISFIFO(pipe.lstat().st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_directory_is_an_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "table2", "--out", str(tmp_path))
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_symlink_is_written_through(self, tmp_path, capsys):
         (tmp_path / "data").mkdir()
