@@ -2,6 +2,7 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -237,20 +238,48 @@ class TestExpectationsToGeometry:
         assert_matches_targets(expectations_to_geometry(point), point)
 
 
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this qtetra."""
+    src = str(Path(qtetra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 class TestLazySolverImport:
     """scipy is imported at the first solve; the solver is the module attribute."""
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        src = str(Path(qtetra.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = (
+        out = fresh_python(
             "import sys, qtetra, qtetra.cli\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, check=True)
-        assert result.stdout == "[]\n"
+        assert out == "[]\n"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+    def test_hot_loops_reuse_heap_memory_without_scipy(self):
+        # Importing scipy once raised glibc's malloc thresholds as a side
+        # effect; without it, qtetra's import must, or every call page-faults.
+        out = fresh_python(
+            "import resource, sys\n"
+            "from qtetra import amplitude, tomography\n"
+            "from qtetra.tetrahedron import BlochPoint, bloch_state\n"
+            "states = [bloch_state(BlochPoint(0.3 * k + 0.2, 1.1 * k)) for k in range(5)]\n"
+            "target = {'X': BlochPoint(1.0, 2.0)}\n"
+            "def loop():\n"
+            "    for _ in range(10):\n"
+            "        amplitude.vertex_amplitude(states, amplitude.cyclic_k5())\n"
+            "        tomography.simulate_experiment(targets=target)\n"
+            "loop()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "loop()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,\n"
+            "      'scipy' in sys.modules)"
+        )
+        faults, scipy_loaded = out.split()
+        assert scipy_loaded == "False"
+        assert int(faults) < 50  # ~3,500 when every temporary is a fresh mapping
 
     def test_first_access_binds_scipy_least_squares(self):
         import scipy.optimize
