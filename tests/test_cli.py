@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import stat
 import threading
 from unittest import mock
@@ -480,6 +481,15 @@ PINNED_OUTPUTS = {
         "f8bfc7f6336f30a6c167af1c5ef0350b5fcdaa21bfce519b4bf8531b4a9e9403",
     ("sweep", "--grid-theta", "200", "--grid-phi", "400", "--format", "json"):
         "55dc6887e167ae1902a017f0ee257e44be6d6bd6af06cb876be715adad2920f8",
+    ("table2",): "704cb480aeec52547e025c49f2fc263e5a8cadb92d4d3433e4da5332f0e256a9",
+    ("tetra", "--theta", "0", "--phi", "0"):
+        "c6cedeee80c2d18e7f2a8ca0101d6d14355f5888e30a4215c397cc6d0624715f",
+    ("tetra", "--states", "A0,B0,C0,D0,E0", "--format", "json"):
+        "52077288f01d22b27b558c85af87607dfab98969fead531461fe38ab4fe939e6",
+    ("fluct", "--theta", "1.2", "--phi", "0.5"):
+        "e9574793d02204b994870d86d47dbaedb0c8fb79d86e08fb9d9655388f020583",
+    ("fluct", "--states", "A1,B1,C1,D1,E1", "--format", "json"):
+        "668fb2a2872b452bb5ad8e2a7101eca48eefb32e230511963169ad823b5718d2",
 }
 
 
@@ -488,9 +498,15 @@ _BARE_ID_PINS = 6
 
 
 def _pin_id(argv) -> str:
-    """The command name for a first pin, else the command with its arguments."""
+    """The command name for a first pin, else the command with its arguments.
+
+    A later pin without arguments is marked "-defaults", so that it does not
+    take the id of its command's first pin.
+    """
     if list(PINNED_OUTPUTS).index(argv) < _BARE_ID_PINS:
         return argv[0]
+    if len(argv) == 1:
+        return f"{argv[0]}-defaults"
     return "-".join(arg.lstrip("-") for arg in argv)
 
 
@@ -500,3 +516,10 @@ def test_output_bytes_pinned(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0, err
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+def test_pins_are_the_benchmark_goldens():
+    """Every benchmark golden is pinned here, and with the same hash."""
+    goldens = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+    pinned = {" ".join(argv): sha for argv, sha in PINNED_OUTPUTS.items()}
+    assert pinned == json.loads(goldens.read_text(encoding="utf-8"))
