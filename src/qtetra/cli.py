@@ -458,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
             print("error: no command given", file=sys.stderr)
             return 2
         _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -264,6 +264,24 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "--config", str(config))
         assert code == 1 and "command" in err
 
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        message = ("Unable to allocate 5.96 GiB for an array with shape (20000, 20000) "
+                   "and data type complex128")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "amplitude_sweep", exhausted)
+        path = tmp_path / "out"
+        path.write_text("earlier output\n")
+        code, out, err = run_cli(
+            capsys, "sweep", "--grid-theta", "20000", "--grid-phi", "20000", "--out", str(path)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert path.read_text() == "earlier output\n"
+        assert os.listdir(tmp_path) == ["out"]
+
     def test_json_mirrors_csv_values(self, capsys):
         _, csv_out, _ = run_cli(capsys, "fluct", "--states", "E0")
         _, json_out, _ = run_cli(capsys, "fluct", "--states", "E0", "--format", "json")
