@@ -11,22 +11,18 @@ from .spin_algebra import (
     closure_defect,
     invariant_projector,
     pauli_embedded,
-    total_angular_momentum,
 )
 from .tetrahedron import (
     BlochPoint,
-    DihedralPair,
     InvariantTensor,
     area_eigenvalue,
     bloch_state,
-    compress_to_logical,
     dihedral_expectation,
     dihedral_operator,
     fluctuation,
     fluctuation_from_operators,
     independent_dihedral_expectations,
     logical_basis,
-    regular_points,
 )
 from .geometry import (
     AreaVectorSet,
@@ -42,11 +38,9 @@ from .amplitude import (
     amplitude_from_table,
     amplitude_sweep,
     basis_amplitude_table,
-    canonical_k5,
     cyclic_k5,
     k5_graph,
     partner_rule_graph,
-    singlet,
     vertex_amplitude,
     vertex_amplitude_bruteforce,
 )

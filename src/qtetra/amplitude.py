@@ -10,14 +10,15 @@ Because invariant tensors are not symmetric under slot permutations, the
 amplitude depends on which slot of each node a link attaches to. Graphs are
 therefore explicit: a SpinNetworkGraph lists ten links ((n, s), (m, t)), and
 the stored endpoint order fixes the singlet orientation (first factor on the
-first endpoint). Two named slot assignments are provided:
+first endpoint). ``partner_rule_graph`` names four slot assignments; two of them:
 
-* ``canonical_k5``: at each node, slots 1..4 host the incident links in
-  increasing order of the partner node.
-* ``cyclic_k5``: node n's slots 1..4 host partners n+1, n+2, n+3, n+4 (mod 5).
-  This is the assignment under which four regular tensors at (pi/2, pi/2)
-  make the amplitude vanish exactly at i5 = (pi/2, 3*pi/2); the bundled
-  reference amplitudes are reproduced in this convention.
+* ``partner_rule_graph("increasing")``: at each node, slots 1..4 host the
+  incident links in increasing order of the partner node.
+* ``cyclic_k5()``, the ``"cyclic"`` rule: node n's slots 1..4 host partners
+  n+1, n+2, n+3, n+4 (mod 5). This is the assignment under which four
+  regular tensors at (pi/2, pi/2) make the amplitude vanish exactly at
+  i5 = (pi/2, 3*pi/2); the bundled reference amplitudes are reproduced in
+  this convention.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spin_algebra import StateVector, _state_amplitudes
+from .spin_algebra import _state_amplitudes
 from .tetrahedron import InvariantTensor, bloch_coefficients, logical_basis
 
 NODES = (1, 2, 3, 4, 5)
@@ -43,11 +44,6 @@ _SINGLET = np.zeros(4)
 _SINGLET[0b01] = 1.0 / math.sqrt(2)
 _SINGLET[0b10] = -1.0 / math.sqrt(2)
 _EPS = _SINGLET.reshape(2, 2).copy()
-
-
-def singlet() -> StateVector:
-    """The two-qubit link state (|01> - |10>)/sqrt(2)."""
-    return StateVector(2, _SINGLET.astype(complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +134,6 @@ def _partner_rule_graph(rule: str) -> SpinNetworkGraph:
         else:
             raise ValueError(f"unknown slot rule {rule!r}")
     return k5_graph(orders)
-
-
-def canonical_k5() -> SpinNetworkGraph:
-    """Slots ordered by increasing partner node at every node."""
-    return partner_rule_graph("increasing")
 
 
 def cyclic_k5() -> SpinNetworkGraph:

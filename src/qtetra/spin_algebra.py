@@ -55,20 +55,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", arr)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.n_qubits, self.amplitudes / n)
-
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
@@ -90,10 +76,6 @@ class DenseOperator:
                     f"matrix flagged hermitian deviates from its adjoint by {defect:.3e}"
                 )
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
 
 def _is_half_integer(x: float) -> bool:
@@ -124,17 +106,21 @@ class CouplingLabel:
             raise ValueError(f"M={self.M} is not in -J..J for J={self.J}")
 
 
-def _check_register(axis: str, n: int) -> None:
+def _register_size(n) -> int:
+    """n as a plain int; range membership is equality, so 4.0 passes and 4.5 fails."""
+    if n not in range(1, MAX_OPERATOR_QUBITS + 1):
+        raise ValueError(f"n must be an integer in 1..{MAX_OPERATOR_QUBITS}, got {n!r}")
+    return int(n)
+
+
+def _check_qubit(axis: str, k, n) -> tuple[int, int]:
+    """(k, n) as plain ints, the memo keys."""
     if axis not in PAULI:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    if n < 1 or n > MAX_OPERATOR_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_OPERATOR_QUBITS}, got {n}")
-
-
-def _check_qubit(axis: str, k: int, n: int) -> None:
-    _check_register(axis, n)
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index k={k} out of range 1..{n}")
+    n = _register_size(n)
+    if k not in range(1, n + 1):
+        raise ValueError(f"qubit index k={k!r} is not an integer in 1..{n}")
+    return int(k), n
 
 
 # The fixed operators are built once per argument tuple and then shared: their
@@ -165,20 +151,12 @@ def _total_angular_momentum(axis: str, n: int) -> DenseOperator:
 
 def pauli_embedded(axis: str, k: int, n: int) -> DenseOperator:
     """Pauli matrix on qubit k of an n-qubit register, identity elsewhere."""
-    _check_qubit(axis, k, n)
-    return _pauli_embedded(axis, k, n)
+    return _pauli_embedded(axis, *_check_qubit(axis, k, n))
 
 
 def angular_momentum(axis: str, k: int, n: int) -> DenseOperator:
     """J_axis on qubit k (spin-1/2, hbar = 1): half the embedded Pauli."""
-    _check_qubit(axis, k, n)
-    return _angular_momentum(axis, k, n)
-
-
-def total_angular_momentum(axis: str, n: int) -> DenseOperator:
-    """Sum of J_axis over all n qubits."""
-    _check_register(axis, n)
-    return _total_angular_momentum(axis, n)
+    return _angular_momentum(axis, *_check_qubit(axis, k, n))
 
 
 def _state_amplitudes(state, n_qubits: int) -> np.ndarray:
@@ -260,8 +238,7 @@ def cg_coefficient(label: CouplingLabel, m1: float, m2: float) -> float:
 
 def invariant_projector(n: int) -> DenseOperator:
     """Orthogonal projector onto the total-J = 0 subspace of n qubits."""
-    if n < 1 or n > MAX_OPERATOR_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_OPERATOR_QUBITS}, got {n}")
+    n = _register_size(n)
     j_squared = sum(
         _total_angular_momentum(axis, n).entries @ _total_angular_momentum(axis, n).entries
         for axis in AXES

@@ -38,39 +38,14 @@ PAIR_CLASS = {
 }
 
 
-def _basis16(bits) -> np.ndarray:
-    index = 0
-    for b in bits:
-        index = 2 * index + b
-    v = np.zeros(16)
-    v[index] = 1.0
-    return v
-
-
-def _build_logical_basis():
-    # two-qubit combinations expanded into the 4-qubit register
-    def pair(front, back):
-        out = np.zeros(16)
-        out[(front[0] * 2 + front[1]) * 4 + back[0] * 2 + back[1]] = 1.0
-        return out
-
-    def product(coeffs_front, coeffs_back):
-        out = np.zeros(16)
-        for (fb, fc) in coeffs_front:
-            for (bb, bc) in coeffs_back:
-                out += fc * bc * pair(fb, bb)
-        return out
-
-    anti = [((0, 1), 1.0), ((1, 0), -1.0)]
-    sym = [((0, 1), 1.0), ((1, 0), 1.0)]
-    zero_l = 0.5 * product(anti, anti)
-    one_l = (
-        _basis16((1, 1, 0, 0)) + _basis16((0, 0, 1, 1)) - 0.5 * product(sym, sym)
-    ) / math.sqrt(3)
-    return zero_l, one_l
-
-
-_ZERO_L, _ONE_L = _build_logical_basis()
+# The logical basis of the module docstring, by basis index (qubit 1 most significant).
+_ZERO_L = np.zeros(16)
+_ZERO_L[[0b0101, 0b1010]] = 0.5
+_ZERO_L[[0b0110, 0b1001]] = -0.5
+_ONE_L = np.zeros(16)
+_ONE_L[[0b0011, 0b1100]] = 1.0
+_ONE_L[[0b0101, 0b0110, 0b1001, 0b1010]] = -0.5
+_ONE_L /= math.sqrt(3)
 
 
 def logical_basis() -> tuple[StateVector, StateVector]:
@@ -93,25 +68,6 @@ class BlochPoint:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2 * math.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-
-@dataclass(frozen=True)
-class DihedralPair:
-    """An unordered pair of distinct face indices in 1..4."""
-
-    k: int
-    m: int
-
-    def __post_init__(self):
-        for v in (self.k, self.m):
-            if v not in (1, 2, 3, 4):
-                raise ValueError(f"face indices must be in 1..4, got {v}")
-        if self.k == self.m:
-            raise ValueError("dihedral pair needs two distinct faces")
-
-    @property
-    def sorted(self) -> tuple[int, int]:
-        return (self.k, self.m) if self.k < self.m else (self.m, self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +95,15 @@ def _as_point(point) -> BlochPoint:
     return BlochPoint(float(theta), float(phi))
 
 
-def _as_pair(pair) -> DihedralPair:
-    if isinstance(pair, DihedralPair):
-        return pair
+def _face_pair(pair) -> tuple[int, int]:
+    """Two distinct face indices in 1..4 as ints; 2.0 passes as 2, 1.7 fails."""
     k, m = pair
-    return DihedralPair(int(k), int(m))
+    for v in (k, m):
+        if v not in (1, 2, 3, 4):
+            raise ValueError(f"face indices must be integers in 1..4, got {v!r}")
+    if k == m:
+        raise ValueError("dihedral pair needs two distinct faces")
+    return int(k), int(m)
 
 
 def bloch_coefficients(point) -> np.ndarray:
@@ -177,8 +137,7 @@ def dihedral_operator(pair, convention: str = "interior") -> DenseOperator:
     Built once per (k, m, convention); the returned operator is shared and read-only.
     """
     _check_convention(convention)
-    p = _as_pair(pair)
-    return _dihedral_operator(p.k, p.m, convention)
+    return _dihedral_operator(*_face_pair(pair), convention)
 
 
 @functools.cache
@@ -192,13 +151,6 @@ def _dihedral_operator(k: int, m: int, convention: str) -> DenseOperator:
     return DenseOperator(4, sign * (4.0 / 3.0) * dot, hermitian=True)
 
 
-def compress_to_logical(op) -> np.ndarray:
-    """Project a 16-dim operator to the 2x2 block in the (|1_L>, |0_L>) basis."""
-    entries = op.entries if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
-    basis = np.column_stack([_ONE_L, _ZERO_L]).astype(complex)
-    return basis.conj().T @ entries @ basis
-
-
 def dihedral_expectation(point, pair, convention: str = "interior") -> float:
     """Closed-form <cos theta_km> in the state at the given Bloch point.
 
@@ -210,7 +162,7 @@ def dihedral_expectation(point, pair, convention: str = "interior") -> float:
     """
     _check_convention(convention)
     p = _as_point(point)
-    cls = PAIR_CLASS[_as_pair(pair).sorted]
+    cls = PAIR_CLASS[tuple(sorted(_face_pair(pair)))]
     c, s = math.cos(p.theta / 2), math.sin(p.theta / 2)
     if cls == (1, 2):
         value = c * c - s * s / 3
@@ -249,8 +201,3 @@ def fluctuation_from_operators(point) -> float:
         mean_sq = np.vdot(psi, op @ (op @ psi)).real
         total += mean_sq - mean**2
     return total
-
-
-def regular_points() -> list[BlochPoint]:
-    """Bloch points whose three independent interior cosines all equal 1/3."""
-    return [BlochPoint(math.pi / 2, math.pi / 2), BlochPoint(math.pi / 2, 3 * math.pi / 2)]

@@ -12,17 +12,15 @@ from qtetra.amplitude import (
     amplitude_from_table,
     amplitude_sweep,
     basis_amplitude_table,
-    canonical_k5,
     cyclic_k5,
     k5_graph,
     node_coefficient_pairs,
     partner_rule_graph,
-    singlet,
     vertex_amplitude,
     vertex_amplitude_bruteforce,
 )
 from qtetra.named_states import NAMED_POINTS, fifth_node_amplitude, regular_state
-from qtetra.spin_algebra import closure_defect
+from qtetra.spin_algebra import StateVector, closure_defect
 from qtetra.tetrahedron import BlochPoint, bloch_state, logical_basis
 from qtetra.tomography import DEFAULT_NOISE, DensityMatrix, apply_noise, ml_purify
 
@@ -38,20 +36,9 @@ def random_states(rng, count=5):
     return [bloch_state(p) for p in random_points(rng, count)]
 
 
-class TestSinglet:
-    def test_normalized(self):
-        assert singlet().norm == pytest.approx(1.0, abs=1e-15)
-
-    def test_components(self):
-        amps = singlet().amplitudes
-        assert amps[0b01] == pytest.approx(1 / math.sqrt(2))
-        assert amps[0b10] == pytest.approx(-1 / math.sqrt(2))
-        assert amps[0b00] == 0.0 and amps[0b11] == 0.0
-
-
 class TestGraphs:
     def test_canonical_slot_order(self):
-        graph = canonical_k5()
+        graph = partner_rule_graph("increasing")
         # node 3's slots meet partners 1, 2, 4, 5 in that order
         partners = {}
         for (n, s), (m, t) in graph.links:
@@ -68,13 +55,13 @@ class TestGraphs:
         assert [partners[(3, s)] for s in SLOTS] == [4, 5, 1, 2]
 
     def test_link_count_and_coverage(self):
-        graph = canonical_k5()
+        graph = partner_rule_graph("increasing")
         assert len(graph.links) == 10
         endpoints = [ep for link in graph.links for ep in link]
         assert sorted(endpoints) == sorted((n, s) for n in NODES for s in SLOTS)
 
     def test_malformed_graphs_rejected(self):
-        good = list(canonical_k5().links)
+        good = list(partner_rule_graph("increasing").links)
         with pytest.raises(ValueError):
             SpinNetworkGraph(tuple(good[:9]))
         # duplicate an endpoint
@@ -140,16 +127,16 @@ class TestVertexAmplitude:
             assert abs(seq - multi) < 1e-10
 
     def test_magnitude_bounded_by_one(self):
-        graph = canonical_k5()
+        graph = partner_rule_graph("increasing")
         rng = np.random.default_rng(47)
         for _ in range(20):
             result = vertex_amplitude(random_states(rng), graph)
             assert result.magnitude <= 1.0 + 1e-12
 
     def test_wrong_state_count(self):
-        graph = canonical_k5()
+        graph = partner_rule_graph("increasing")
         with pytest.raises(ValueError):
-            vertex_amplitude([singlet()] * 5, graph)
+            vertex_amplitude([StateVector(2, np.full(4, 0.5))] * 5, graph)
         with pytest.raises(ValueError):
             vertex_amplitude([bloch_state((0.0, 0.0))] * 4, graph)
 
@@ -218,7 +205,7 @@ class TestBasisTable:
         assert abs(backward - np.conj(forward)) < 1e-12
 
     def test_node_relabeling_permutes_entries_up_to_sign(self):
-        base_graph = canonical_k5()
+        base_graph = partner_rule_graph("increasing")
         table = basis_amplitude_table(base_graph)
         for perm in ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}):
             links = []

@@ -15,7 +15,6 @@ from qtetra.spin_algebra import (
     closure_defect,
     invariant_projector,
     pauli_embedded,
-    total_angular_momentum,
 )
 from qtetra.tetrahedron import dihedral_operator, logical_basis
 
@@ -76,19 +75,15 @@ class TestSharedOperators:
     def test_equal_to_a_fresh_kron_build(self, n):
         single = dict(zip(AXES, (SX, SY, SZ)))
         for axis in AXES:
-            fresh_j = []
             for k in range(1, n + 1):
                 fresh = kron_chain(
                     [single[axis] if i == k else np.eye(2) for i in range(1, n + 1)]
                 )
-                fresh_j.append(fresh / 2)
                 assert np.array_equal(pauli_embedded(axis, k, n).entries, fresh)
                 assert np.array_equal(angular_momentum(axis, k, n).entries, fresh / 2)
-            assert np.array_equal(total_angular_momentum(axis, n).entries, sum(fresh_j))
 
     def test_repeated_calls_share_one_object(self):
         assert pauli_embedded("y", 2, 4) is pauli_embedded("y", 2, 4)
-        assert total_angular_momentum("z", 4) is total_angular_momentum("z", 4)
         assert dihedral_operator((1, 3), "normals") is dihedral_operator((1, 3), "normals")
 
     @pytest.mark.parametrize(
@@ -106,15 +101,18 @@ class TestSharedOperators:
             lambda: pauli_embedded("x", 5, 4),
             lambda: pauli_embedded("w", 1, 4),
             lambda: angular_momentum("z", 0, 4),
-            lambda: total_angular_momentum("x", 9),
-            lambda: total_angular_momentum("w", 4),
+            lambda: invariant_projector(9),
+            lambda: pauli_embedded("x", 1.5, 4),
             lambda: dihedral_operator((2, 2)),
             lambda: dihedral_operator((1, 2), "outward"),
+            lambda: angular_momentum("x", 2.5, 4),
+            lambda: pauli_embedded("z", 1, 4.5),
+            lambda: dihedral_operator((1.7, 2)),
+            lambda: invariant_projector(2.5),
         ],
     )
     def test_bad_arguments_raise_on_every_call(self, call):
         pauli_embedded("x", 1, 4)
-        total_angular_momentum("x", 4)
         dihedral_operator((1, 2))
         for _ in range(2):
             with pytest.raises(ValueError):
@@ -288,7 +286,7 @@ class TestInvariantProjector:
     def test_commutes_with_total_j(self):
         p = invariant_projector(4).entries
         for axis in AXES:
-            j = total_angular_momentum(axis, 4).entries
+            j = sum(angular_momentum(axis, k, 4).entries for k in range(1, 5))
             assert np.abs(p @ j - j @ p).max() < 1e-12
 
     def test_projected_vectors_are_closed(self):
@@ -316,11 +314,6 @@ class TestTypes:
     def test_state_vector_length_check(self):
         with pytest.raises(ValueError):
             StateVector(2, np.ones(3))
-
-    def test_state_vector_norm(self):
-        sv = StateVector(1, np.array([3.0, 4.0]))
-        assert sv.norm == pytest.approx(5.0)
-        assert sv.normalized().norm == pytest.approx(1.0)
 
     def test_dense_operator_hermitian_check(self):
         from qtetra.spin_algebra import DenseOperator

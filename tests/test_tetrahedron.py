@@ -6,24 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtetra.named_states import NAMED_POINTS, REGULAR_CANDIDATES
 from qtetra.spin_algebra import StateVector, closure_defect
 from qtetra.tetrahedron import (
     BlochPoint,
-    DihedralPair,
     InvariantTensor,
     area_eigenvalue,
     bloch_state,
-    compress_to_logical,
     dihedral_expectation,
     dihedral_operator,
     fluctuation,
     fluctuation_from_operators,
     independent_dihedral_expectations,
     logical_basis,
-    regular_points,
 )
 
 SQ3 = math.sqrt(3)
+
+# the two Bloch points whose three independent interior cosines all equal 1/3
+REGULAR_POINTS = (BlochPoint(math.pi / 2, math.pi / 2), BlochPoint(math.pi / 2, 3 * math.pi / 2))
 
 # the six 2x2 logical blocks in the (|1_L>, |0_L>) ordering
 EXPECTED_INTERIOR = {
@@ -41,6 +42,15 @@ EXPECTED_INTERIOR_SQ = {
     (1, 4): np.array([[7 / 9, -2 * SQ3 / 9], [-2 * SQ3 / 9, 1 / 3]]),
 }
 
+
+
+def logical_block(entries) -> np.ndarray:
+    """The 2x2 block of a 16-dim operator in the (|1_L>, |0_L>) basis."""
+    zero_l, one_l = logical_basis()
+    basis = np.column_stack([one_l.amplitudes, zero_l.amplitudes])
+    return basis.conj().T @ entries @ basis
+
+
 bloch_points = st.tuples(
     st.floats(0.0, math.pi, allow_nan=False),
     st.floats(0.0, 2 * math.pi, exclude_max=True, allow_nan=False),
@@ -50,8 +60,8 @@ bloch_points = st.tuples(
 class TestLogicalBasis:
     def test_orthonormal(self):
         zero_l, one_l = logical_basis()
-        assert zero_l.norm == pytest.approx(1.0, abs=1e-12)
-        assert one_l.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(zero_l.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(one_l.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(zero_l.amplitudes, one_l.amplitudes)) < 1e-12
 
     def test_explicit_expansion_of_zero_l(self):
@@ -103,7 +113,7 @@ class TestBlochState:
     @settings(max_examples=50, deadline=None)
     def test_always_invariant_and_normalized(self, point):
         state = bloch_state(point)
-        assert state.embedded.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.embedded.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert closure_defect(state.embedded) < 1e-10
 
 
@@ -169,18 +179,18 @@ class TestArea:
 class TestDihedralOperator:
     @pytest.mark.parametrize("pair", list(EXPECTED_INTERIOR))
     def test_compression_interior(self, pair):
-        block = compress_to_logical(dihedral_operator(pair, "interior"))
+        block = logical_block(dihedral_operator(pair, "interior").entries)
         assert np.abs(block - EXPECTED_INTERIOR[pair]).max() < 1e-12
 
     @pytest.mark.parametrize("pair", list(EXPECTED_INTERIOR))
     def test_compression_normals_is_negated(self, pair):
-        block = compress_to_logical(dihedral_operator(pair, "normals"))
+        block = logical_block(dihedral_operator(pair, "normals").entries)
         assert np.abs(block + EXPECTED_INTERIOR[pair]).max() < 1e-12
 
     @pytest.mark.parametrize("pair", list(EXPECTED_INTERIOR_SQ))
     def test_compression_of_squares(self, pair):
         op = dihedral_operator(pair, "interior").entries
-        block = compress_to_logical(op @ op)
+        block = logical_block(op @ op)
         assert np.abs(block - EXPECTED_INTERIOR_SQ[pair]).max() < 1e-12
 
     def test_normals_on_glued_pair(self):
@@ -190,8 +200,6 @@ class TestDihedralOperator:
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_same_face_rejected(self):
-        with pytest.raises(ValueError):
-            DihedralPair(2, 2)
         with pytest.raises(ValueError):
             dihedral_operator((1, 1))
 
@@ -260,13 +268,13 @@ class TestFluctuation:
 
 class TestRegularPoints:
     def test_exactly_the_two_equatorial_points(self):
-        points = regular_points()
+        points = [NAMED_POINTS[name] for name in REGULAR_CANDIDATES]
         assert len(points) == 2
         coords = {(p.theta, p.phi) for p in points}
         assert coords == {(math.pi / 2, math.pi / 2), (math.pi / 2, 3 * math.pi / 2)}
 
     def test_expectations_at_regular_points(self):
-        for point in regular_points():
+        for point in REGULAR_POINTS:
             for pair in ((1, 2), (1, 3), (1, 4)):
                 assert dihedral_expectation(point, pair) == pytest.approx(1 / 3, abs=1e-12)
 
