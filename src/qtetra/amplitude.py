@@ -23,7 +23,6 @@ first endpoint). ``partner_rule_graph`` names four slot assignments; two of them
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -48,17 +47,13 @@ _EPS = _SINGLET.reshape(2, 2).copy()
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeResult:
-    """A complex amplitude with magnitude/phase accessors."""
+    """A complex amplitude with a magnitude accessor."""
 
     value: complex
 
     @property
     def magnitude(self) -> float:
         return abs(self.value)
-
-    @property
-    def phase(self) -> float:
-        return cmath.phase(self.value)
 
 
 @dataclass(frozen=True)
