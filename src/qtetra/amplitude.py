@@ -10,7 +10,7 @@ Because invariant tensors are not symmetric under slot permutations, the
 amplitude depends on which slot of each node a link attaches to. Graphs are
 therefore explicit: a SpinNetworkGraph lists ten links ((n, s), (m, t)), and
 the stored endpoint order fixes the singlet orientation (first factor on the
-first endpoint). ``partner_rule_graph`` names four slot assignments; two of them:
+first endpoint). ``partner_rule_graph`` names four slot assignments, among them:
 
 * ``partner_rule_graph("increasing")``: at each node, slots 1..4 host the
   incident links in increasing order of the partner node.
