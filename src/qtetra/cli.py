@@ -39,8 +39,8 @@ from .tetrahedron import (
     independent_dihedral_expectations,
 )
 
-COMMANDS = ("tetra", "fluct", "reconstruct", "amplitude", "sweep", "table1", "table2", "experiment")
-
+# A sweep peaks at ~33 MB plus ~107 B per cell, so this cap is ~1.1 GB.
+MAX_SWEEP_CELLS = 10_000_000
 
 _CHUNK_ROWS = 4096
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -193,19 +193,14 @@ def _collect_points(args) -> list[tuple[str, BlochPoint]]:
     return points
 
 
-def _rows_to_json(header: list[str], rows: list[list]) -> list[dict]:
-    return [
-        {key: (cell if isinstance(cell, str) else float(cell)) for key, cell in zip(header, row)}
-        for row in rows
-    ]
-
-
 def _cmd_tetra(args) -> None:
     header = ["state", "theta", "phi", "cos12", "cos13", "cos14"]
     rows = []
     for name, point in _collect_points(args):
-        c12, c13, c14 = independent_dihedral_expectations(point, args.convention)
-        rows.append([name, point.theta, point.phi, c12, c13, c14])
+        cosines = independent_dihedral_expectations(point)
+        if args.convention == "normals":  # outward normals meet at the supplement
+            cosines = [-c for c in cosines]
+        rows.append([name, point.theta, point.phi, *cosines])
     _emit(header, rows, args)
 
 
@@ -261,6 +256,10 @@ def _cmd_amplitude(args) -> None:
 def _cmd_sweep(args) -> None:
     if args.grid_theta < 1 or args.grid_phi < 1:
         raise ValueError("--grid-theta and --grid-phi must be positive")
+    cells = args.grid_theta * args.grid_phi
+    if cells > MAX_SWEEP_CELLS:
+        raise ValueError(f"a {args.grid_theta}x{args.grid_phi} sweep has {cells} cells; "
+                         f"the limit is {MAX_SWEEP_CELLS}")
     thetas = np.linspace(0.0, math.pi, args.grid_theta)
     phis = np.linspace(0.0, 2 * math.pi, args.grid_phi, endpoint=False)
     grid = amplitude_sweep(
@@ -312,7 +311,7 @@ def _cmd_table1(args) -> None:
         },
         "inconsistency_factor": comparison.inconsistency_factor,
         "reference_units": "1e-5",
-        "rows": _rows_to_json(header, rows),
+        "rows": [dict(zip(header, row)) for row in rows],
     }
     _emit(header, rows, args, meta)
 
@@ -392,16 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plain-text key=value file supplying the command and flags")
     sub = parser.add_subparsers(dest="command")
 
-    for name in ("tetra", "fluct"):
+    for name in ("tetra", "fluct", "reconstruct", "amplitude"):
         p = sub.add_parser(name)
         _add_point_args(p)
         _add_output_args(p)
-        p.add_argument("--convention", choices=("interior", "normals"), default="interior")
-
-    for name in ("reconstruct", "amplitude"):
-        p = sub.add_parser(name)
-        _add_point_args(p)
-        _add_output_args(p)
+        if name == "tetra":
+            p.add_argument("--convention", choices=("interior", "normals"), default="interior",
+                           help="cosines of the interior angles, or of those between outward normals")
 
     p = sub.add_parser("sweep")
     _add_output_args(p)
@@ -440,7 +436,7 @@ def _argv_from_config(path: str) -> list[str]:
                 argv.extend([flag, value])
     if command is None:
         raise ValueError("config file must set 'command'")
-    if command not in COMMANDS:
+    if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r} in config")
     return [command] + argv
 

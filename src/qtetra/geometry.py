@@ -157,14 +157,15 @@ def areas_from_vertices(tetra: TetrahedronVertices) -> AreaVectorSet:
     return AreaVectorSet(_area_vectors_from_points(points.tolist()))
 
 
-def _residuals(x: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: float) -> np.ndarray:
+def _residuals(x: np.ndarray, areas: np.ndarray, c12: float, c13: float) -> np.ndarray:
     a, b, c, d, e, f = x.tolist()
     vecs = _area_vectors_from_points(((0.0, 0.0, 0.0), (a, 0.0, 0.0), (b, c, 0.0), (d, e, f)))
     mags = [math.sqrt((vx * vx + vy * vy) + vz * vz) for vx, vy, vz in vecs]
     if any(m < 1e-12 for m in mags):
         return np.full(6, 1e6)
-    # Face 1 lies in the z = 0 plane, so n0 = (0, 0, +-1): each dot below has one
-    # nonzero product and rounds once, as numpy's BLAS ``@`` does, FMA or not.
+    # An interior cosine is -(n_i . n_j) of the outward normals. Face 1 lies in
+    # the z = 0 plane, so n0 = (0, 0, +-1): each dot below has one nonzero
+    # product and rounds once, as numpy's BLAS ``@`` does, FMA or not.
     n0, n1, n2 = ((vx / m, vy / m, vz / m) for (vx, vy, vz), m in zip(vecs[:3], mags))
     return np.array(
         [
@@ -172,8 +173,8 @@ def _residuals(x: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: f
             mags[1] - areas[1],
             mags[2] - areas[2],
             mags[3] - areas[3],
-            sign * (n0[0] * n1[0] + n0[1] * n1[1] + n0[2] * n1[2]) - c12,
-            sign * (n0[0] * n2[0] + n0[1] * n2[1] + n0[2] * n2[2]) - c13,
+            -(n0[0] * n1[0] + n0[1] * n1[1] + n0[2] * n1[2]) - c12,
+            -(n0[0] * n2[0] + n0[1] * n2[1] + n0[2] * n2[2]) - c13,
         ]
     )
 
@@ -184,11 +185,11 @@ def _canonical_gauge(x: np.ndarray) -> np.ndarray:
     return np.array([sx * a, sx * b, sy * c, sx * d, sy * e, abs(f)])
 
 
-def _gram_matrix(areas: np.ndarray, c12: float, c13: float, sign: float) -> np.ndarray:
+def _gram_matrix(areas: np.ndarray, c12: float, c13: float) -> np.ndarray:
     """Gram matrix F_i . F_j of the area vectors; closure fixes F2 . F3 via |F4| = |F1+F2+F3|."""
     g = np.diag(areas[:3] ** 2)
-    g[0, 1] = g[1, 0] = sign * areas[0] * areas[1] * c12
-    g[0, 2] = g[2, 0] = sign * areas[0] * areas[2] * c13
+    g[0, 1] = g[1, 0] = -areas[0] * areas[1] * c12
+    g[0, 2] = g[2, 0] = -areas[0] * areas[2] * c13
     g[1, 2] = g[2, 1] = (areas[3] ** 2 - g.sum()) / 2
     closure = np.hstack([np.eye(3), -np.ones((3, 1))])  # F4 = -(F1 + F2 + F3)
     return closure.T @ g @ closure
@@ -206,12 +207,12 @@ def _gram_start(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray
     return r[[0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]]
 
 
-def _solve(start: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: float):
+def _solve(start: np.ndarray, areas: np.ndarray, c12: float, c13: float):
     """Canonical gauge parameters from one damped least-squares solve, or None on a miss."""
     # Looked up on the module, so the first solve binds it and a rebinding
     # (a wrapper, a spy) is the one called.
     solver = sys.modules[__name__].least_squares
-    result = solver(_residuals, start, args=(areas, c12, c13, sign), method="lm",
+    result = solver(_residuals, start, args=(areas, c12, c13), method="lm",
                     xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
     params = _canonical_gauge(result.x)
     if np.linalg.norm(result.fun) >= RESIDUAL_ACCEPT or np.any(params[[0, 2, 5]] < 1e-12):
@@ -219,9 +220,7 @@ def _solve(start: np.ndarray, areas: np.ndarray, c12: float, c13: float, sign: f
     return params
 
 
-def reconstruct(
-    areas, cos12: float, cos13: float, convention: str = "interior"
-) -> TetrahedronVertices:
+def reconstruct(areas, cos12: float, cos13: float) -> TetrahedronVertices:
     """Solve for the tetrahedron matching four areas and two dihedral cosines.
 
     One exists iff the area vectors' Gram matrix is PSD of rank 3. The solver
@@ -229,9 +228,9 @@ def reconstruct(
 
     Args:
         areas: the four face areas, in face-label order.
-        cos12, cos13: target cosines of the dihedral angles between faces
-            (1,2) and (1,3); read per ``convention`` ("interior" measures the
-            interior angle, "normals" the angle between outward normals).
+        cos12, cos13: target cosines of the interior dihedral angles between
+            faces (1,2) and (1,3); the outward normals of those faces meet at
+            the supplementary angle, whose cosine is the negation.
 
     Raises:
         ValueError: malformed input, non-finite values included.
@@ -244,20 +243,17 @@ def reconstruct(
     for name, value in (("cos12", cos12), ("cos13", cos13)):
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-    if convention not in ("interior", "normals"):
-        raise ValueError(f"unknown convention {convention!r}")
-    sign = -1.0 if convention == "interior" else 1.0
 
-    eigenvalues, eigenvectors = np.linalg.eigh(_gram_matrix(areas, cos12, cos13, sign))
+    eigenvalues, eigenvectors = np.linalg.eigh(_gram_matrix(areas, cos12, cos13))
     if eigenvalues[1] <= DEGENERACY_ATOL * eigenvalues[-1]:
         raise InfeasibleGeometryError("no tetrahedron: Gram matrix not PSD of rank 3", eigenvalues)
 
     # regular tetrahedron scaled to the mean requested area
     edge = np.sqrt(np.mean(areas) / (np.sqrt(3) / 4))
     x0 = edge * np.array([1.0, 0.5, np.sqrt(3) / 2, 0.5, np.sqrt(3) / 6, np.sqrt(6) / 3])
-    params = _solve(x0, areas, cos12, cos13, sign)
+    params = _solve(x0, areas, cos12, cos13)
     if params is None:
-        params = _solve(_gram_start(eigenvalues, eigenvectors), areas, cos12, cos13, sign)
+        params = _solve(_gram_start(eigenvalues, eigenvectors), areas, cos12, cos13)
     if params is None:
         raise InfeasibleGeometryError("solver missed the tetrahedron", eigenvalues)
     return TetrahedronVertices(*params)
@@ -267,9 +263,9 @@ def expectations_to_geometry(point) -> TetrahedronVertices:
     """Reconstruct the classical tetrahedron matching a Bloch point.
 
     All four areas are the sharp value sqrt(3/4) (units of 8*pi*l_P^2); the two
-    dihedral targets are the interior-convention expectations at the point.
+    dihedral targets are the interior expectations at the point.
     Infeasibility (some Bloch points have no classical counterpart) propagates
     as InfeasibleGeometryError.
     """
-    c12, c13, _ = independent_dihedral_expectations(point, "interior")
-    return reconstruct([area_eigenvalue()] * 4, c12, c13, convention="interior")
+    c12, c13, _ = independent_dihedral_expectations(point)
+    return reconstruct([area_eigenvalue()] * 4, c12, c13)

@@ -58,23 +58,19 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Dense 2^n x 2^n matrix with an optional Hermitian guarantee."""
+    """Dense 2^n x 2^n Hermitian matrix."""
 
     n_qubits: int
     entries: np.ndarray = field(repr=False)
-    hermitian: bool = False
 
     def __post_init__(self):
         dim = 2**self.n_qubits
         arr = _frozen_array(self.entries)
         if arr.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {arr.shape}")
-        if self.hermitian:
-            defect = np.abs(arr - arr.conj().T).max()
-            if defect >= HERMITIAN_ATOL:
-                raise ValueError(
-                    f"matrix flagged hermitian deviates from its adjoint by {defect:.3e}"
-                )
+        defect = np.abs(arr - arr.conj().T).max()
+        if defect >= HERMITIAN_ATOL:
+            raise ValueError(f"matrix deviates from its adjoint by {defect:.3e}")
         object.__setattr__(self, "entries", arr)
 
 
@@ -135,18 +131,18 @@ def _pauli_embedded(axis: str, k: int, n: int) -> DenseOperator:
     out = np.array([[1.0 + 0.0j]])
     for i in range(1, n + 1):
         out = np.kron(out, PAULI[axis] if i == k else np.eye(2))
-    return DenseOperator(n, out, hermitian=True)
+    return DenseOperator(n, out)
 
 
 @functools.cache
 def _angular_momentum(axis: str, k: int, n: int) -> DenseOperator:
-    return DenseOperator(n, _pauli_embedded(axis, k, n).entries / 2, hermitian=True)
+    return DenseOperator(n, _pauli_embedded(axis, k, n).entries / 2)
 
 
 @functools.cache
 def _total_angular_momentum(axis: str, n: int) -> DenseOperator:
     total = sum(_angular_momentum(axis, k, n).entries for k in range(1, n + 1))
-    return DenseOperator(n, total, hermitian=True)
+    return DenseOperator(n, total)
 
 
 def pauli_embedded(axis: str, k: int, n: int) -> DenseOperator:
@@ -247,4 +243,4 @@ def invariant_projector(n: int) -> DenseOperator:
     kernel = evecs[:, evals < 0.5]  # eigenvalues are J(J+1), so 0 or >= 2
     proj = kernel @ kernel.conj().T
     proj = (proj + proj.conj().T) / 2
-    return DenseOperator(n, proj, hermitian=True)
+    return DenseOperator(n, proj)

@@ -9,13 +9,11 @@ subspace spanned by the logical basis
 and is addressed by Bloch angles: cos(theta/2)|0_L> + e^(i phi) sin(theta/2)|1_L>,
 with the |0_L> coefficient kept real non-negative (no extra global phase).
 
-Each face has the sharp area sqrt(3/4) in units of 8*pi*l_P^2. Dihedral
-cosines come in two sign conventions:
-
-* ``interior``: cosine of the interior dihedral angle; -(4/3) J^(k).J^(m).
-  A regular tetrahedron has all cosines 1/3 and <cos12>+<cos13>+<cos14> = 1.
-* ``normals``: cosine of the angle between outward face normals,
-  (4/3) J^(k).J^(m); the supplement, summing to -1.
+Each face has the sharp area sqrt(3/4) in units of 8*pi*l_P^2. Every dihedral
+cosine here is the cosine of the interior dihedral angle, -(4/3) J^(k).J^(m):
+a regular tetrahedron has all cosines 1/3 and <cos12>+<cos13>+<cos14> = 1.
+The cosine of the angle between outward face normals is its exact negation,
+which only ``qtetra tetra --convention normals`` prints.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spin_algebra import AXES, DenseOperator, StateVector, angular_momentum
-
-CONVENTIONS = ("interior", "normals")
 
 # Closure makes opposite pairs interchangeable: (3,4)~(1,2), (2,4)~(1,3), (2,3)~(1,4).
 PAIR_CLASS = {
@@ -119,64 +115,49 @@ def bloch_state(point) -> InvariantTensor:
     return InvariantTensor(point)
 
 
-def area_eigenvalue(spin: float = 0.5) -> float:
-    """Sharp face area sqrt(j(j+1)) in units of 8*pi*l_P^2; only j = 1/2 here."""
-    if abs(spin - 0.5) > 1e-12:
-        raise ValueError(f"only spin 1/2 is supported, got {spin}")
+def area_eigenvalue() -> float:
+    """Sharp face area sqrt(j(j+1)) = sqrt(3/4) of a spin-1/2 face, in units of 8*pi*l_P^2."""
     return math.sqrt(0.75)
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+def dihedral_operator(pair) -> DenseOperator:
+    """The 16-dim interior cosine operator for the dihedral angle between faces k and m.
 
-
-def dihedral_operator(pair, convention: str = "interior") -> DenseOperator:
-    """The 16-dim cosine operator for the dihedral angle between faces k and m.
-
-    Built once per (k, m, convention); the returned operator is shared and read-only.
+    Built once per (k, m); the returned operator is shared and read-only.
     """
-    _check_convention(convention)
-    return _dihedral_operator(*_face_pair(pair), convention)
+    return _dihedral_operator(*_face_pair(pair))
 
 
 @functools.cache
-def _dihedral_operator(k: int, m: int, convention: str) -> DenseOperator:
+def _dihedral_operator(k: int, m: int) -> DenseOperator:
     dot = np.zeros((16, 16), dtype=complex)
     for axis in AXES:
         jk = angular_momentum(axis, k, 4).entries
         jm = angular_momentum(axis, m, 4).entries
         dot += jk @ jm
-    sign = 1.0 if convention == "normals" else -1.0
-    return DenseOperator(4, sign * (4.0 / 3.0) * dot, hermitian=True)
+    return DenseOperator(4, -(4.0 / 3.0) * dot)
 
 
-def dihedral_expectation(point, pair, convention: str = "interior") -> float:
-    """Closed-form <cos theta_km> in the state at the given Bloch point.
+def dihedral_expectation(point, pair) -> float:
+    """Closed-form interior <cos theta_km> in the state at the given Bloch point.
 
-    Interior convention:
         <cos12> = cos^2(theta/2) - (1/3) sin^2(theta/2)
         <cos13> = (2/3) sin^2(theta/2) + (2*sqrt(3)/3) cos(theta/2) sin(theta/2) cos(phi)
         <cos14> = same as <cos13> with cos(phi) negated
-    with opposite pairs equal by closure. The normals convention negates.
+    with opposite pairs equal by closure.
     """
-    _check_convention(convention)
     p = _as_point(point)
     cls = PAIR_CLASS[tuple(sorted(_face_pair(pair)))]
     c, s = math.cos(p.theta / 2), math.sin(p.theta / 2)
     if cls == (1, 2):
-        value = c * c - s * s / 3
-    else:
-        cross = (2 * math.sqrt(3) / 3) * c * s * math.cos(p.phi)
-        value = (2 / 3) * s * s + (cross if cls == (1, 3) else -cross)
-    return value if convention == "interior" else -value
+        return c * c - s * s / 3
+    cross = (2 * math.sqrt(3) / 3) * c * s * math.cos(p.phi)
+    return (2 / 3) * s * s + (cross if cls == (1, 3) else -cross)
 
 
-def independent_dihedral_expectations(point, convention: str = "interior") -> tuple[float, float, float]:
-    """(<cos12>, <cos13>, <cos14>) at a Bloch point."""
-    return tuple(
-        dihedral_expectation(point, pair, convention) for pair in ((1, 2), (1, 3), (1, 4))
-    )
+def independent_dihedral_expectations(point) -> tuple[float, float, float]:
+    """Interior (<cos12>, <cos13>, <cos14>) at a Bloch point."""
+    return tuple(dihedral_expectation(point, pair) for pair in ((1, 2), (1, 3), (1, 4)))
 
 
 def fluctuation(point) -> float:
@@ -196,7 +177,7 @@ def fluctuation_from_operators(point) -> float:
     psi = bloch_state(point).embedded.amplitudes
     total = 0.0
     for pair in ((1, 2), (1, 3), (1, 4)):
-        op = dihedral_operator(pair, "interior").entries
+        op = dihedral_operator(pair).entries
         mean = np.vdot(psi, op @ psi).real
         mean_sq = np.vdot(psi, op @ (op @ psi)).real
         total += mean_sq - mean**2

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import named_states
-from .spin_algebra import PAULI, StateVector
+from .spin_algebra import HERMITIAN_ATOL, PAULI, StateVector
 from .tetrahedron import (
     BlochPoint,
     bloch_state,
@@ -29,7 +29,6 @@ from .tetrahedron import (
 
 DIM = 16
 
-HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PURIFY_GAP_ATOL = 1e-10
@@ -176,6 +175,13 @@ def apply_noise(rho: DensityMatrix, noise: NoiseSpec, rng: np.random.Generator) 
     return DensityMatrix((1 - p) * mixed + p * np.eye(DIM) / DIM)
 
 
+_COSINES = ("cos12", "cos13", "cos14")
+
+
+def _re_im(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
 @dataclass(frozen=True)
 class TargetReport:
     name: str
@@ -197,21 +203,10 @@ class TargetReport:
             "fidelity": self.fidelity,
             "delta_theory": self.delta_theory,
             "delta_measured": self.delta_measured,
-            "dihedral_theory": {
-                "cos12": self.dihedral_theory[0],
-                "cos13": self.dihedral_theory[1],
-                "cos14": self.dihedral_theory[2],
-            },
-            "dihedral_measured": {
-                "cos12": self.dihedral_measured[0],
-                "cos13": self.dihedral_measured[1],
-                "cos14": self.dihedral_measured[2],
-            },
-            "amplitude_theory": {"re": self.amplitude_theory.real, "im": self.amplitude_theory.imag},
-            "amplitude_purified": {
-                "re": self.amplitude_purified.real,
-                "im": self.amplitude_purified.imag,
-            },
+            "dihedral_theory": dict(zip(_COSINES, self.dihedral_theory)),
+            "dihedral_measured": dict(zip(_COSINES, self.dihedral_measured)),
+            "amplitude_theory": _re_im(self.amplitude_theory),
+            "amplitude_purified": _re_im(self.amplitude_purified),
         }
 
 
@@ -224,11 +219,7 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "noise": {
-                "depolarizing_p": self.noise.depolarizing_p,
-                "rotation_angle_sd": self.noise.rotation_angle_sd,
-                "seed": self.noise.seed,
-            },
+            "noise": asdict(self.noise),
             "convention": {"slot_rule": self.rule, "regular_state": self.regular},
             "targets": [t.to_dict() for t in self.targets],
         }
@@ -254,7 +245,7 @@ def simulate_experiment(
         targets = named_states.NAMED_POINTS
     rng = np.random.default_rng(noise.seed)
     rule, regular = named_states.DEFAULT_RULE, named_states.DEFAULT_REGULAR
-    interior_ops = [dihedral_operator(pair, "interior").entries for pair in ((1, 2), (1, 3), (1, 4))]
+    interior_ops = [dihedral_operator(pair).entries for pair in ((1, 2), (1, 3), (1, 4))]
     reports = []
     for name, point in targets.items():
         ideal = bloch_state(point)
@@ -284,7 +275,7 @@ def simulate_experiment(
                 fidelity=fidelity(rho_measured, rho_ideal),
                 delta_theory=fluctuation(point),
                 delta_measured=float(delta_measured),
-                dihedral_theory=independent_dihedral_expectations(point, "interior"),
+                dihedral_theory=independent_dihedral_expectations(point),
                 dihedral_measured=tuple(measured),
                 amplitude_theory=amp_theory,
                 amplitude_purified=amp_purified,

@@ -130,9 +130,9 @@ def test_criterion_3_dihedral_expectations():
         psi = bloch_state(point).embedded.amplitudes
         total = 0.0
         for pair in ((1, 2), (1, 3), (1, 4)):
-            op = dihedral_operator(pair, "interior").entries
+            op = dihedral_operator(pair).entries
             operator_value = np.vdot(psi, op @ psi).real
-            closed = dihedral_expectation(point, pair, "interior")
+            closed = dihedral_expectation(point, pair)
             worst = max(worst, abs(operator_value - closed))
             total += closed
         worst_sum = max(worst_sum, abs(total - 1.0))

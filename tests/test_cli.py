@@ -9,6 +9,7 @@ import os
 import pathlib
 import stat
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,24 @@ class TestTetra:
         cells = out.strip().split("\n")[1].split(",")
         assert float(cells[3]) == pytest.approx(-1 / 3, abs=1e-12)
 
+    def test_normals_cells_negate_interior_cells(self, capsys):
+        rng = np.random.default_rng(3)
+        points = ("--states", "A0,B0,C0,D0,E0,A1,B1,C1,D1,E1",
+                  "--theta", repr(rng.uniform(0, math.pi)),
+                  "--phi", repr(rng.uniform(0, 2 * math.pi)))
+        _, interior, _ = run_cli(capsys, "tetra", *points)
+        code, normals, _ = run_cli(capsys, "tetra", *points, "--convention", "normals")
+        assert code == 0
+        interior_rows = interior.strip().split("\n")[1:]
+        normals_rows = normals.strip().split("\n")[1:]
+        assert len(interior_rows) == len(normals_rows) == 11
+        for interior_row, normals_row in zip(interior_rows, normals_rows):
+            interior_cells, normals_cells = interior_row.split(","), normals_row.split(",")
+            assert normals_cells[:3] == interior_cells[:3]
+            for inside, outside in zip(interior_cells[3:], normals_cells[3:]):
+                assert float(outside) == -float(inside)
+                assert math.copysign(1.0, float(outside)) == -math.copysign(1.0, float(inside))
+
     def test_mismatched_point_flags(self, capsys):
         code, _, err = run_cli(capsys, "tetra", "--theta", "0.5")
         assert code == 1
@@ -71,6 +90,12 @@ class TestFluct:
         assert code == 0
         assert float(rows[0].split(",")[3]) == pytest.approx(2 / 3)
         assert float(rows[1].split(",")[3]) == pytest.approx(4 / 3)
+
+    def test_convention_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fluct", "--states", "C0", "--convention", "normals"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --convention normals" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -126,6 +151,18 @@ class TestAmplitudeAndSweep:
     def test_sweep_rejects_empty_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--grid-theta", "0", "--grid-phi", "3")
         assert code == 1 and "positive" in err
+
+    def test_sweep_over_the_cell_limit_is_one_error_line(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("amplitude_sweep called")
+
+        monkeypatch.setattr(cli, "amplitude_sweep", never)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--grid-theta", "20000", "--grid-phi", "20000")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and out == ""
+        assert err == ("error: a 20000x20000 sweep has 400000000 cells; "
+                       f"the limit is {cli.MAX_SWEEP_CELLS}\n")
 
 
 class TestTables:
@@ -265,7 +302,7 @@ class TestPlumbing:
         assert code == 1 and "command" in err
 
     def test_out_of_memory_is_one_error_line(self, monkeypatch, tmp_path, capsys):
-        message = ("Unable to allocate 5.96 GiB for an array with shape (20000, 20000) "
+        message = ("Unable to allocate 137 MiB for an array with shape (3000, 3000) "
                    "and data type complex128")
 
         def exhausted(*args, **kwargs):
@@ -275,7 +312,7 @@ class TestPlumbing:
         path = tmp_path / "out"
         path.write_text("earlier output\n")
         code, out, err = run_cli(
-            capsys, "sweep", "--grid-theta", "20000", "--grid-phi", "20000", "--out", str(path)
+            capsys, "sweep", "--grid-theta", "3000", "--grid-phi", "3000", "--out", str(path)
         )
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
@@ -458,86 +495,16 @@ class TestStreamedWriters:
         assert actual.getvalue() == expected.getvalue()
 
 
-# SHA-256 of the --out bytes, recorded from earlier code; each equals the
-# same argument list in perfbench/goldens.json. Any change to a number or its
-# formatting moves them.
-PINNED_OUTPUTS = {
-    ("table1",): "8c225e4a6243be36afb978b27dad772e4d1cdcf8538d38dda8cd94188fab2e1b",
-    ("table2", "--format", "json"):
-        "d9c9d565a161c3cd27c49e8d72031699ae13fdc9aeccaf1e9f39db2a6ccf7604",
-    ("amplitude", "--states", "C0,C1"):
-        "63a3148fc0b0bee1b226cb4a6231a2a9fac1535f6128e6c1c8741179c9f5bf98",
-    ("experiment", "--seed", "7"):
-        "b017e3577d655ae2bbff2d5c397f85bccfbbeb98fefe46fc7f49eebbce09b468",
-    ("tetra", "--states", "C0,C1", "--convention", "normals"):
-        "94bfdb26ecb5614a4508651e0d529a52b8ee4f34cec035b9999f675f0155c3dd",
-    ("fluct", "--states", "A0,B0"):
-        "2a088643e37e77c7538b6e1fbc01989df0cb82678a9ace4900ef0c776840dc68",
-    ("reconstruct", "--states", "C1"):
-        "ee1711a9e7a519e24ee7805e550250e85edf8295cfa31c4eee13558ce38edf0e",
-    ("reconstruct", "--states", "D1", "--format", "json"):
-        "640c28ca578e2fdfc49af737c95bc67e9b2d9d648f6de4d765d60c83a1008eb6",
-    ("reconstruct", "--states", "B0,D0", "--format", "json"):
-        "d243403c00a9027167afb00044a8cf16a521b54d273a4d19488e5be69cb5b43c",
-    ("sweep", "--grid-theta", "45", "--grid-phi", "90"):
-        "41ce38dd2298bd89d85b715520c27013149a5168cd9898150a157316e6a75bc6",
-    ("sweep", "--grid-theta", "30", "--grid-phi", "60", "--format", "json"):
-        "3320b70ebcb70e8dcfddf08115ed54d92037e6caac5d46ad778be4f99b192d26",
-    ("sweep", "--grid-theta", "60", "--grid-phi", "120"):
-        "d91010d81445e8196cda8593d1fbaf2a0f09bca0d6ce4f8cac23a44a37992f71",
-    ("amplitude", "--states", "A0"):
-        "e0c6d9fdeb524e4913dee3e65c65e81ecb9b5c65ca0e71448468913433a569ac",
-    ("amplitude", "--theta", "0.7", "--phi", "2.0", "--format", "json"):
-        "d042cd4b6a6fc319ee07a5199e3bc1c8850cc364db74516569eb4f3b8ae7ff01",
-    ("experiment", "--seed", "1", "--states", "A0,C1"):
-        "f73c40e46f2d759badbb330753ba1d0c12e9a669e6993b2e3f84584db4315d05",
-    ("experiment", "--seed", "42", "--format", "json"):
-        "979a191c31b1e32718ac80e0dafbaecae6b39093de6020ac0b39d262a60c3413",
-    ("table1", "--format", "json"):
-        "8f88619ac637f57bf51370da343a6b011706d6bffe4bac15dc327fada339ad2e",
-    ("sweep", "--grid-theta", "200", "--grid-phi", "400"):
-        "f8bfc7f6336f30a6c167af1c5ef0350b5fcdaa21bfce519b4bf8531b4a9e9403",
-    ("sweep", "--grid-theta", "200", "--grid-phi", "400", "--format", "json"):
-        "55dc6887e167ae1902a017f0ee257e44be6d6bd6af06cb876be715adad2920f8",
-    ("table2",): "704cb480aeec52547e025c49f2fc263e5a8cadb92d4d3433e4da5332f0e256a9",
-    ("tetra", "--theta", "0", "--phi", "0"):
-        "c6cedeee80c2d18e7f2a8ca0101d6d14355f5888e30a4215c397cc6d0624715f",
-    ("tetra", "--states", "A0,B0,C0,D0,E0", "--format", "json"):
-        "52077288f01d22b27b558c85af87607dfab98969fead531461fe38ab4fe939e6",
-    ("fluct", "--theta", "1.2", "--phi", "0.5"):
-        "e9574793d02204b994870d86d47dbaedb0c8fb79d86e08fb9d9655388f020583",
-    ("fluct", "--states", "A1,B1,C1,D1,E1", "--format", "json"):
-        "668fb2a2872b452bb5ad8e2a7101eca48eefb32e230511963169ad823b5718d2",
-}
+# SHA-256 of the --out bytes of every benchmark argument list, recorded from
+# earlier code. Any change to a number or its formatting moves them.
+GOLDENS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+GOLDENS = json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
 
 
-# The first pins, one per command, keep the bare command name as their id.
-_BARE_ID_PINS = 6
-
-
-def _pin_id(argv) -> str:
-    """The command name for a first pin, else the command with its arguments.
-
-    A later pin without arguments is marked "-defaults", so that it does not
-    take the id of its command's first pin.
-    """
-    if list(PINNED_OUTPUTS).index(argv) < _BARE_ID_PINS:
-        return argv[0]
-    if len(argv) == 1:
-        return f"{argv[0]}-defaults"
-    return "-".join(arg.lstrip("-") for arg in argv)
-
-
-@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS), ids=_pin_id)
-def test_output_bytes_pinned(argv, tmp_path, capsys):
+@pytest.mark.parametrize("args", sorted(GOLDENS),
+                         ids=lambda args: args.replace(" --", " ").replace(" ", "-"))
+def test_output_bytes_pinned(args, tmp_path, capsys):
     path = tmp_path / "out"
-    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    code, _, err = run_cli(capsys, *args.split(), "--out", str(path))
     assert code == 0, err
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_OUTPUTS[argv]
-
-
-def test_pins_are_the_benchmark_goldens():
-    """Every benchmark golden is pinned here, and with the same hash."""
-    goldens = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
-    pinned = {" ".join(argv): sha for argv, sha in PINNED_OUTPUTS.items()}
-    assert pinned == json.loads(goldens.read_text(encoding="utf-8"))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDENS[args]

@@ -141,13 +141,6 @@ class TestReconstruct:
             recovered = reconstruct(mags, cos12, cos13)
             assert np.abs(recovered.edge_lengths() - original.edge_lengths()).max() < 1e-8
 
-    def test_normals_convention(self):
-        rng = np.random.default_rng(23)
-        original = random_tetrahedron(rng)
-        mags, cos12, cos13 = measured_inputs(original)
-        recovered = reconstruct(mags, -cos12, -cos13, convention="normals")
-        assert np.abs(recovered.edge_lengths() - original.edge_lengths()).max() < 1e-8
-
     def test_closure_violating_areas_are_infeasible(self):
         with pytest.raises(InfeasibleGeometryError) as excinfo:
             reconstruct([1.0, 1.0, 1.0, 10.0], 1 / 3, 1 / 3)
@@ -158,8 +151,6 @@ class TestReconstruct:
             reconstruct([1.0, 1.0, 1.0], 0.3, 0.3)
         with pytest.raises(ValueError):
             reconstruct([1.0, 1.0, 1.0, 1.0], 1.2, 0.3)
-        with pytest.raises(ValueError):
-            reconstruct([1.0, 1.0, 1.0, 1.0], 0.3, 0.3, convention="outward")
 
     @pytest.mark.parametrize(
         "areas, cos12, cos13",
@@ -372,9 +363,9 @@ def solver_calls():
     calls = []
     residuals = geometry._residuals
 
-    def spy(x, areas, c12, c13, sign):
-        calls.append((x.copy(), areas.copy(), c12, c13, sign))
-        return residuals(x, areas, c12, c13, sign)
+    def spy(x, areas, c12, c13):
+        calls.append((x.copy(), areas.copy(), c12, c13))
+        return residuals(x, areas, c12, c13)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_residuals", spy)
@@ -386,9 +377,9 @@ def solver_calls():
 class TestScalarResidualsBitIdentical:
     def test_every_solver_call(self, solver_calls):
         assert len(solver_calls) > 5000
-        for x, areas, c12, c13, sign in solver_calls:
+        for x, areas, c12, c13 in solver_calls:
             assert_same_bits(
-                geometry._residuals(x, areas, c12, c13, sign), _residuals(x, areas, c12, c13, sign)
+                geometry._residuals(x, areas, c12, c13), _residuals(x, areas, c12, c13, -1.0)
             )
 
     def test_reflected_gauges(self):
@@ -399,11 +390,9 @@ class TestScalarResidualsBitIdentical:
             negative = rng.permutation([0, 2, 5])[: rng.integers(1, 4)]  # one to three of a, c, f
             x[negative] = -np.abs(x[negative])
             c12, c13 = rng.uniform(-1.0, 1.0, 2)
-            for sign in (-1.0, 1.0):
-                assert_same_bits(
-                    geometry._residuals(x, areas, c12, c13, sign),
-                    _residuals(x, areas, c12, c13, sign),
-                )
+            assert_same_bits(
+                geometry._residuals(x, areas, c12, c13), _residuals(x, areas, c12, c13, -1.0)
+            )
 
     @pytest.mark.parametrize(
         "x",
@@ -418,7 +407,7 @@ class TestScalarResidualsBitIdentical:
         areas = np.full(4, math.sqrt(0.75))
         ref = _residuals(x, areas, 1 / 3, 1 / 3, -1.0)
         assert np.array_equal(ref, np.full(6, 1e6))
-        assert_same_bits(geometry._residuals(x, areas, 1 / 3, 1 / 3, -1.0), ref)
+        assert_same_bits(geometry._residuals(x, areas, 1 / 3, 1 / 3), ref)
 
     def test_area_vectors_of_random_tetrahedra(self):
         rng = np.random.default_rng(13)

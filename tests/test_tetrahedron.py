@@ -151,10 +151,6 @@ class TestArea:
     def test_eigenvalue(self):
         assert area_eigenvalue() == pytest.approx(math.sqrt(0.75), abs=1e-15)
 
-    def test_unsupported_spin(self):
-        with pytest.raises(ValueError):
-            area_eigenvalue(1.0)
-
     def test_casimir_on_logical_state(self):
         # 4 J^(1).J^(1) is 3 times the identity, so Ar^2 = 3/4 on anything
         from qtetra.spin_algebra import angular_momentum
@@ -179,32 +175,22 @@ class TestArea:
 class TestDihedralOperator:
     @pytest.mark.parametrize("pair", list(EXPECTED_INTERIOR))
     def test_compression_interior(self, pair):
-        block = logical_block(dihedral_operator(pair, "interior").entries)
+        block = logical_block(dihedral_operator(pair).entries)
         assert np.abs(block - EXPECTED_INTERIOR[pair]).max() < 1e-12
-
-    @pytest.mark.parametrize("pair", list(EXPECTED_INTERIOR))
-    def test_compression_normals_is_negated(self, pair):
-        block = logical_block(dihedral_operator(pair, "normals").entries)
-        assert np.abs(block + EXPECTED_INTERIOR[pair]).max() < 1e-12
 
     @pytest.mark.parametrize("pair", list(EXPECTED_INTERIOR_SQ))
     def test_compression_of_squares(self, pair):
-        op = dihedral_operator(pair, "interior").entries
+        op = dihedral_operator(pair).entries
         block = logical_block(op @ op)
         assert np.abs(block - EXPECTED_INTERIOR_SQ[pair]).max() < 1e-12
-
-    def test_normals_on_glued_pair(self):
-        zero_l, _ = logical_basis()
-        op = dihedral_operator((1, 2), "normals").entries
-        value = np.vdot(zero_l.amplitudes, op @ zero_l.amplitudes).real
-        assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_same_face_rejected(self):
         with pytest.raises(ValueError):
             dihedral_operator((1, 1))
 
     def test_hermitian_flag(self):
-        assert dihedral_operator((1, 3)).hermitian
+        entries = dihedral_operator((1, 3)).entries
+        assert np.array_equal(entries, entries.conj().T)
 
 
 class TestDihedralExpectation:
@@ -226,11 +212,10 @@ class TestDihedralExpectation:
     def test_matches_operator_expectation(self, point):
         psi = bloch_state(point).embedded.amplitudes
         for pair in ((1, 2), (1, 3), (1, 4)):
-            for convention in ("interior", "normals"):
-                op = dihedral_operator(pair, convention).entries
-                operator_value = np.vdot(psi, op @ psi).real
-                closed_form = dihedral_expectation(point, pair, convention)
-                assert abs(operator_value - closed_form) < 1e-12
+            op = dihedral_operator(pair).entries
+            operator_value = np.vdot(psi, op @ psi).real
+            closed_form = dihedral_expectation(point, pair)
+            assert abs(operator_value - closed_form) < 1e-12
 
     @given(bloch_points)
     @settings(max_examples=60, deadline=None)
@@ -241,10 +226,6 @@ class TestDihedralExpectation:
         assert abs(pairs[(1, 3)] - pairs[(2, 4)]) < 1e-12
         assert abs(pairs[(1, 4)] - pairs[(2, 3)]) < 1e-12
         assert abs(pairs[(1, 2)] + pairs[(1, 3)] + pairs[(1, 4)] - 1.0) < 1e-12
-        total_normals = sum(
-            dihedral_expectation(point, p, "normals") for p in ((1, 2), (1, 3), (1, 4))
-        )
-        assert abs(total_normals + 1.0) < 1e-12
 
 
 class TestFluctuation:
