@@ -19,14 +19,25 @@ first endpoint). ``partner_rule_graph`` names four slot assignments, among them:
   regular tensors at (pi/2, pi/2) make the amplitude vanish exactly at
   i5 = (pi/2, 3*pi/2); the bundled reference amplitudes are reproduced in
   this convention.
+
+Each graph compiles its sequential contraction into a fixed plan once, when
+it is built: per link, the nodes the link places, the transpose that moves
+the contracted qubit pair last, and the row count of the matrix that meets
+the singlet. ``vertex_amplitude`` runs that plan, and
+``fifth_node_amplitudes`` runs the steps before node 5 is first placed once
+per batch of fifth-node states. The plan performs the float operations of a
+``np.multiply.outer`` then ``np.tensordot`` per link, on the same operands in
+the same order, and numpy rounds each complex product the same whatever the
+memory layout, so its amplitudes are bit-identical to that form; the tests
+keep that form as their reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +54,12 @@ _SINGLET = np.zeros(4)
 _SINGLET[0b01] = 1.0 / math.sqrt(2)
 _SINGLET[0b10] = -1.0 / math.sqrt(2)
 _EPS = _SINGLET.reshape(2, 2).copy()
+# np.dot would cast the float singlet to complex on every call; casting once is exact.
+_EPS_COLUMN = _EPS.reshape(4, 1).astype(complex)
+_ONE = np.array(1.0, dtype=complex)
+# 2^6 rows of a fused product, 32 complex entries each: 32 KB, which stays in
+# a typical L1 data cache while every entry of the tile is written.
+_TILE_AXES = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +73,86 @@ class AmplitudeResult:
         return abs(self.value)
 
 
+class _Step(NamedTuple):
+    """One link of a contraction plan; node indices are 0-based."""
+
+    outer: tuple[int, ...]  # nodes placed by a plain outer product first
+    fused: int | None  # node whose product is written straight in contracted layout
+    current_shape: tuple[int, ...]  # open axes, then four unit axes if ``fused``
+    node_shape: tuple[int, ...]  # unit axes for the open axes, then the fused node's four
+    order: tuple[int, ...]  # transpose moving the contracted pair last
+    rows: int
+    loop: tuple[int, ...]  # fused product's iteration order over the contracted layout
+
+
+def _contraction_plan(links: tuple[Link, ...]) -> tuple[_Step, ...]:
+    """Per link, the steps that ``np.multiply.outer`` and ``np.tensordot`` would take."""
+    steps = []
+    open_axes: list[Endpoint] = []
+    placed: set[int] = set()
+    for (n, s), (m, t) in links:
+        new = [node for node in (n, m) if node not in placed]
+        placed.update(new)
+        for node in new[:-1]:
+            open_axes.extend((node, slot) for slot in SLOTS)
+        k = len(open_axes)
+        current_shape, node_shape = (2,) * k, ()
+        if new:
+            current_shape += (1,) * 4
+            node_shape = (1,) * k + (2,) * 4
+            open_axes.extend((new[-1], slot) for slot in SLOTS)
+        i, j = open_axes.index((n, s)), open_axes.index((m, t))
+        kept = [a for a in range(len(open_axes)) if a not in (i, j)]
+        order = tuple(kept) + (i, j)
+        # A fused product is written tile by tile: the innermost loop runs over
+        # the last _TILE_AXES kept axes of ``current`` with the node factor
+        # fixed, and every column of a tile's rows is written before the next.
+        row_axes = [p for p in range(len(kept)) if order[p] < k]
+        tile = row_axes[-_TILE_AXES:]
+        loop = [p for p in range(len(order)) if p not in tile]
+        steps.append(_Step(
+            outer=tuple(node - 1 for node in new[:-1]),
+            fused=new[-1] - 1 if new else None,
+            current_shape=current_shape,
+            node_shape=node_shape,
+            order=order,
+            rows=2 ** len(kept),
+            loop=tuple(loop) + tuple(tile) if new else (),
+        ))
+        open_axes = [open_axes[a] for a in kept]
+    return tuple(steps)
+
+
+def _run_plan(current: np.ndarray, tensors, steps) -> np.ndarray:
+    """Run plan steps from the partial contraction ``current``.
+
+    A fused step writes the outer product of ``current`` and the new node
+    straight into ``np.tensordot``'s transposed layout. Its factors keep the
+    outer product's argument order: numpy's vectorized complex multiply uses
+    fused multiply-adds that treat them differently, so ``x * y`` and
+    ``y * x`` can differ in the last bit.
+    """
+    for step in steps:
+        for node in step.outer:
+            current = np.multiply.outer(current, tensors[node])
+        view = current.reshape(step.current_shape).transpose(step.order)
+        if step.fused is not None:
+            factor = tensors[step.fused].reshape(step.node_shape).transpose(step.order)
+            loop = step.loop
+            product = np.empty((2,) * len(loop), dtype=complex)
+            np.multiply(view.transpose(loop), factor.transpose(loop),
+                        out=product.transpose(loop), order="C")
+            view = product
+        current = np.dot(view.reshape(step.rows, 4), _EPS_COLUMN)
+    return current
+
+
 @dataclass(frozen=True)
 class SpinNetworkGraph:
     """Ten links pairing the twenty (node, slot) endpoints of five nodes."""
 
     links: tuple[Link, ...]
+    plan: tuple[_Step, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         links = tuple((tuple(a), tuple(b)) for a, b in self.links)
@@ -74,6 +166,7 @@ class SpinNetworkGraph:
         pairs = {frozenset((a[0], b[0])) for a, b in links}
         if len(pairs) != 10 or any(len(p) != 2 for p in pairs):
             raise ValueError("links must cover all ten unordered node pairs")
+        object.__setattr__(self, "plan", _contraction_plan(links))
 
     def with_link_swapped(self, index: int) -> "SpinNetworkGraph":
         """Copy of the graph with one link's endpoint qubits exchanged."""
@@ -151,24 +244,33 @@ def _node_tensors(states) -> list[np.ndarray]:
 def vertex_amplitude(states, graph: SpinNetworkGraph) -> AmplitudeResult:
     """Contract the network link by link, materializing nodes on first touch.
 
-    Links are processed in their stored order; at most one full node tensor
-    is introduced at a time on top of the currently open indices.
+    Runs ``graph.plan``: links in their stored order, each node's tensor
+    multiplied onto the open indices when a link first touches it, and each
+    link's qubit pair contracted with one ``np.dot`` against the singlet.
+    Those are the float operations of ``np.multiply.outer`` and
+    ``np.tensordot`` per link on the same values, so the bits cannot move;
+    only the transposed copy of each product is never made.
     """
-    tensors = _node_tensors(states)
-    current = np.array(1.0, dtype=complex)
-    open_axes: list[Endpoint] = []
-    placed = set()
-    for (n, s), (m, t) in graph.links:
-        for node in (n, m):
-            if node not in placed:
-                current = np.multiply.outer(current, tensors[node - 1])
-                open_axes.extend((node, slot) for slot in SLOTS)
-                placed.add(node)
-        i = open_axes.index((n, s))
-        j = open_axes.index((m, t))
-        current = np.tensordot(current, _EPS, axes=([i, j], [0, 1]))
-        open_axes = [ax for idx, ax in enumerate(open_axes) if idx not in (i, j)]
-    return AmplitudeResult(complex(current))
+    return AmplitudeResult(complex(_run_plan(_ONE, _node_tensors(states), graph.plan)[0, 0]))
+
+
+def fifth_node_amplitudes(fixed, states, graph: SpinNetworkGraph) -> list[complex]:
+    """Vertex amplitudes of ``fixed`` (nodes 1-4) with each of ``states`` at node 5.
+
+    The plan steps before node 5 is first placed run once for the batch; each
+    amplitude is bit-identical to ``vertex_amplitude(fixed + [state], graph)``.
+    """
+    if len(fixed) != 4:
+        raise ValueError(f"need exactly 4 fixed states, got {len(fixed)}")
+    tensors = [_as_amplitudes(s).reshape(2, 2, 2, 2) for s in fixed] + [None]
+    fifth = [_as_amplitudes(s).reshape(2, 2, 2, 2) for s in states]
+    split = next(i for i, step in enumerate(graph.plan) if 4 in (step.fused, *step.outer))
+    head = _run_plan(_ONE, tensors, graph.plan[:split])
+    values = []
+    for tensor in fifth:
+        tensors[4] = tensor
+        values.append(complex(_run_plan(head, tensors, graph.plan[split:])[0, 0]))
+    return values
 
 
 def vertex_amplitude_bruteforce(states, graph: SpinNetworkGraph) -> AmplitudeResult:
@@ -233,12 +335,8 @@ def amplitude_sweep(fixed, theta_grid, phi_grid, graph: SpinNetworkGraph) -> np.
         raise ValueError("theta grid must lie within [0, pi]")
     if not np.all((phis >= 0) & (phis < 2 * math.pi)):
         raise ValueError("phi grid must lie within [0, 2*pi)")
-    if len(fixed) != 4:
-        raise ValueError(f"need exactly 4 fixed states, got {len(fixed)}")
 
-    zero_l, one_l = logical_basis()
-    h0 = vertex_amplitude(list(fixed) + [zero_l], graph).value
-    h1 = vertex_amplitude(list(fixed) + [one_l], graph).value
+    h0, h1 = fifth_node_amplitudes(fixed, logical_basis(), graph)
     alpha = np.cos(thetas / 2)[:, None]
     beta = np.sin(thetas / 2)[:, None] * np.exp(1j * phis)[None, :]
     return alpha * h0 + beta * h1

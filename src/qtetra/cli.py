@@ -244,12 +244,12 @@ def _cmd_reconstruct(args) -> None:
 
 def _cmd_amplitude(args) -> None:
     header = ["state", "theta", "phi", "re", "im", "abs", "phase"]
-    rows = []
-    for name, point in _collect_points(args):
-        value = named_states.fifth_node_amplitude(bloch_state(point))
-        rows.append(
-            [name, point.theta, point.phi, value.real, value.imag, abs(value), cmath.phase(value)]
-        )
+    points = _collect_points(args)
+    values = named_states.fifth_node_amplitudes([bloch_state(point) for _, point in points])
+    rows = [
+        [name, point.theta, point.phi, value.real, value.imag, abs(value), cmath.phase(value)]
+        for (name, point), value in zip(points, values)
+    ]
     _emit(header, rows, args)
 
 

@@ -63,7 +63,8 @@ class TetrahedronVertices:
             if not math.isfinite(value):
                 raise ValueError(f"gauge parameter {name} must be finite, got {value}")
         if self.a == 0.0 or self.c == 0.0 or self.f == 0.0:
-            raise ValueError("degenerate gauge parameters: a, c and f must be nonzero")
+            raise ValueError("degenerate gauge parameters: a, c and f must be nonzero, "
+                             f"got a={self.a}, c={self.c}, f={self.f}")
 
     @property
     def A(self) -> np.ndarray:
@@ -208,16 +209,17 @@ def _gram_start(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray
 
 
 def _solve(start: np.ndarray, areas: np.ndarray, c12: float, c13: float):
-    """Canonical gauge parameters from one damped least-squares solve, or None on a miss."""
+    """Canonical gauge parameters (None on a miss) and residual norm of one solve."""
     # Looked up on the module, so the first solve binds it and a rebinding
     # (a wrapper, a spy) is the one called.
     solver = sys.modules[__name__].least_squares
     result = solver(_residuals, start, args=(areas, c12, c13), method="lm",
                     xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
     params = _canonical_gauge(result.x)
-    if np.linalg.norm(result.fun) >= RESIDUAL_ACCEPT or np.any(params[[0, 2, 5]] < 1e-12):
-        return None  # missed, or converged to a flat configuration
-    return params
+    norm = float(np.linalg.norm(result.fun))
+    if norm >= RESIDUAL_ACCEPT or np.any(params[[0, 2, 5]] < 1e-12):
+        return None, norm  # missed, or converged to a flat configuration
+    return params, norm
 
 
 def reconstruct(areas, cos12: float, cos13: float) -> TetrahedronVertices:
@@ -235,7 +237,8 @@ def reconstruct(areas, cos12: float, cos13: float) -> TetrahedronVertices:
     Raises:
         ValueError: malformed input, non-finite values included.
         InfeasibleGeometryError: no tetrahedron exists, or neither start
-            reached residual norm 1e-8; it carries the Gram eigenvalues.
+            reached residual norm 1e-8; it carries the Gram eigenvalues, and
+            a miss also names the best residual norm reached.
     """
     areas = np.asarray(areas, dtype=float)
     if areas.shape != (4,) or not np.all(np.isfinite(areas) & (areas > 0)):
@@ -251,11 +254,14 @@ def reconstruct(areas, cos12: float, cos13: float) -> TetrahedronVertices:
     # regular tetrahedron scaled to the mean requested area
     edge = np.sqrt(np.mean(areas) / (np.sqrt(3) / 4))
     x0 = edge * np.array([1.0, 0.5, np.sqrt(3) / 2, 0.5, np.sqrt(3) / 6, np.sqrt(6) / 3])
-    params = _solve(x0, areas, cos12, cos13)
+    params, norm = _solve(x0, areas, cos12, cos13)
     if params is None:
-        params = _solve(_gram_start(eigenvalues, eigenvectors), areas, cos12, cos13)
+        params, gram_norm = _solve(_gram_start(eigenvalues, eigenvectors), areas, cos12, cos13)
+        norm = min(norm, gram_norm)
     if params is None:
-        raise InfeasibleGeometryError("solver missed the tetrahedron", eigenvalues)
+        raise InfeasibleGeometryError(
+            f"solver missed the tetrahedron: best residual norm {norm:.3e} (a solve is "
+            f"accepted below {RESIDUAL_ACCEPT:g}, with a, c and f above 1e-12)", eigenvalues)
     return TetrahedronVertices(*params)
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import partner_rule_graph, vertex_amplitude
-from .tetrahedron import BlochPoint, bloch_state
+from . import amplitude
+from .tetrahedron import BlochPoint, InvariantTensor, bloch_state
 
 PI = math.pi
 
@@ -81,10 +81,14 @@ def regular_state(name: str = DEFAULT_REGULAR):
     return bloch_state(NAMED_POINTS[name])
 
 
-def fifth_node_amplitude(state) -> complex:
-    """Vertex amplitude with ``state`` at node 5, DEFAULT_REGULAR elsewhere, on DEFAULT_RULE."""
-    states = [regular_state()] * 4 + [state]
-    return vertex_amplitude(states, partner_rule_graph(DEFAULT_RULE)).value
+def fifth_node_amplitudes(states) -> list[complex]:
+    """Vertex amplitudes with each state at node 5, DEFAULT_REGULAR elsewhere, on DEFAULT_RULE."""
+    return amplitude.fifth_node_amplitudes(
+        [regular_state()] * 4, states, amplitude.partner_rule_graph(DEFAULT_RULE))
+
+
+def _named_tensors() -> dict[str, InvariantTensor]:
+    return {name: bloch_state(point) for name, point in NAMED_POINTS.items()}
 
 
 def _fit_scale(computed: np.ndarray, reference: np.ndarray) -> complex:
@@ -127,20 +131,21 @@ def _relative_errors(computed: np.ndarray, reference: np.ndarray, scale: complex
 
 
 def reference_comparison(
-    rule: str = DEFAULT_RULE, regular: str = DEFAULT_REGULAR
+    rule: str = DEFAULT_RULE, regular: str = DEFAULT_REGULAR, *, _named=None
 ) -> ReferenceComparison:
     """Compute the ten named amplitudes and fit them against the references.
 
     Two global complex scales are fitted by least squares: ``scale_all`` over
     all ten entries, and ``scale_consistent`` excluding the C1 entry whose
-    reference violates multilinearity (see the module docstring).
+    reference violates multilinearity (see the module docstring). ``_named``
+    lets a caller comparing several candidates build the ten named
+    ``bloch_state``s once.
     """
-    graph = partner_rule_graph(rule)
+    graph = amplitude.partner_rule_graph(rule)
     reg = regular_state(regular)
-    computed = {}
-    for name, point in NAMED_POINTS.items():
-        states = [reg, reg, reg, reg, bloch_state(point)]
-        computed[name] = vertex_amplitude(states, graph).value
+    named = _named_tensors() if _named is None else _named
+    values = amplitude.fifth_node_amplitudes([reg] * 4, list(named.values()), graph)
+    computed = dict(zip(named, values))
 
     names = list(STATE_NAMES)
     comp = np.array([computed[n] for n in names])
@@ -180,9 +185,10 @@ def calibrate_reference_convention() -> CalibrationResult:
     the exact zero required at C0); the first pair in the fixed candidate
     order whose worst relative error is below ``CALIBRATION_TOLERANCE`` wins.
     """
+    named = _named_tensors()
     for rule in RULE_CANDIDATES:
         for regular in REGULAR_CANDIDATES:
-            comparison = reference_comparison(rule, regular)
+            comparison = reference_comparison(rule, regular, _named=named)
             if (
                 comparison.max_consistent_error() < CALIBRATION_TOLERANCE
                 and comparison.errors_consistent["C0"] < 1e-6

@@ -47,12 +47,16 @@ class DensityMatrix:
         # NaN fails every comparison below, so it has to be caught here
         if not np.isfinite(arr).all():
             raise ValueError("density matrix entries must be finite")
-        if np.abs(arr - arr.conj().T).max() >= HERMITIAN_ATOL:
-            raise ValueError("density matrix must be Hermitian")
+        defect = np.abs(arr - arr.conj().T).max()
+        if defect >= HERMITIAN_ATOL:
+            raise ValueError(f"density matrix must be Hermitian: max |rho - rho^dagger| = "
+                             f"{defect:.3e} >= {HERMITIAN_ATOL:g}")
         if abs(np.trace(arr).real - 1.0) >= TRACE_ATOL:
             raise ValueError(f"density matrix must have unit trace, got {np.trace(arr).real}")
-        if np.linalg.eigvalsh(arr).min() < EIGENVALUE_FLOOR:
-            raise ValueError("density matrix must be positive semidefinite")
+        smallest = np.linalg.eigvalsh(arr).min()
+        if smallest < EIGENVALUE_FLOOR:
+            raise ValueError(f"density matrix must be positive semidefinite: smallest "
+                             f"eigenvalue {smallest:.3e} < {EIGENVALUE_FLOOR:g}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -265,8 +269,7 @@ def simulate_experiment(
             measured.append(float(mean))
             delta_measured += mean_sq - mean**2
 
-        amp_theory = named_states.fifth_node_amplitude(ideal)
-        amp_purified = named_states.fifth_node_amplitude(purified)
+        amp_theory, amp_purified = named_states.fifth_node_amplitudes([ideal, purified])
         reports.append(
             TargetReport(
                 name=name,

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from qtetra import amplitude
 from qtetra.amplitude import (
+    _EPS,
     NODES,
     SLOTS,
     SpinNetworkGraph,
+    _node_tensors,
     amplitude_from_table,
     amplitude_sweep,
     basis_amplitude_table,
@@ -19,7 +22,7 @@ from qtetra.amplitude import (
     vertex_amplitude,
     vertex_amplitude_bruteforce,
 )
-from qtetra.named_states import NAMED_POINTS, fifth_node_amplitude, regular_state
+from qtetra.named_states import NAMED_POINTS, fifth_node_amplitudes, regular_state
 from qtetra.spin_algebra import StateVector, closure_defect
 from qtetra.tetrahedron import BlochPoint, bloch_state, logical_basis
 from qtetra.tomography import DEFAULT_NOISE, DensityMatrix, apply_noise, ml_purify
@@ -147,14 +150,156 @@ class TestFifthNodeAmplitude:
 
     def test_bloch_state_bit_for_bit(self):
         state = bloch_state(BlochPoint(0.7, 2.0))
-        assert fifth_node_amplitude(state) == self._direct(state)
+        assert fifth_node_amplitudes([state])[0] == self._direct(state)
 
     def test_purified_non_invariant_state_bit_for_bit(self):
         ideal = DensityMatrix.from_state(bloch_state(NAMED_POINTS["B0"]).embedded)
         rng = np.random.default_rng(3)
         purified = ml_purify(apply_noise(ideal, DEFAULT_NOISE, rng))
         assert closure_defect(purified) > 1e-6
-        assert fifth_node_amplitude(purified) == self._direct(purified)
+        assert fifth_node_amplitudes([purified])[0] == self._direct(purified)
+
+
+class TestCalibration:
+    def test_named_states_built_once_per_call(self, monkeypatch):
+        from qtetra import named_states
+
+        built = []
+
+        def counting(point):
+            built.append(point)
+            return bloch_state(point)
+
+        monkeypatch.setattr(named_states, "bloch_state", counting)
+        calibration = named_states.calibrate_reference_convention()
+        # the ten named states once, then one regular state per candidate
+        # tried: six, up to and including cyclic/C1
+        assert len(built) == 10 + 6
+        assert built[:10] == list(NAMED_POINTS.values())
+        monkeypatch.undo()
+        fresh = named_states.reference_comparison(calibration.rule, calibration.regular)
+        assert {n: bits(v) for n, v in calibration.comparison.computed.items()} == {
+            n: bits(v) for n, v in fresh.computed.items()
+        }
+
+
+# The sequential contraction before graphs carried a plan: one
+# np.multiply.outer per placed node and one np.tensordot per link. The plan in
+# ``qtetra.amplitude`` must match it bit for bit.
+def _tensordot_vertex_amplitude(states, graph: SpinNetworkGraph) -> complex:
+    tensors = _node_tensors(states)
+    current = np.array(1.0, dtype=complex)
+    open_axes = []
+    placed = set()
+    for (n, s), (m, t) in graph.links:
+        for node in (n, m):
+            if node not in placed:
+                current = np.multiply.outer(current, tensors[node - 1])
+                open_axes.extend((node, slot) for slot in SLOTS)
+                placed.add(node)
+        i = open_axes.index((n, s))
+        j = open_axes.index((m, t))
+        current = np.tensordot(current, _EPS, axes=([i, j], [0, 1]))
+        open_axes = [ax for idx, ax in enumerate(open_axes) if idx not in (i, j)]
+    return complex(current)
+
+
+def bits(value: complex) -> tuple[str, str]:
+    """Both parts as exact hex strings: every bit, signed zeros included."""
+    return value.real.hex(), value.imag.hex()
+
+
+def assert_plan_bits(states, graph):
+    assert bits(vertex_amplitude(states, graph).value) == bits(
+        _tensordot_vertex_amplitude(states, graph)
+    )
+
+
+def assert_batch_bits(fixed, fifth, graph):
+    batch = amplitude.fifth_node_amplitudes(fixed, fifth, graph)
+    assert [bits(v) for v in batch] == [
+        bits(_tensordot_vertex_amplitude(list(fixed) + [state], graph)) for state in fifth
+    ]
+
+
+def generic_states(rng, count):
+    """Normalized complex 4-qubit vectors, outside the invariant subspace."""
+    vectors = rng.standard_normal((count, 16)) + 1j * rng.standard_normal((count, 16))
+    return list(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+
+
+def purified_noisy_states(rng):
+    states = []
+    for point in NAMED_POINTS.values():
+        ideal = DensityMatrix.from_state(bloch_state(point).embedded)
+        states.append(ml_purify(apply_noise(ideal, DEFAULT_NOISE, rng)))
+    return states
+
+
+class TestPlanBitIdentical:
+    @pytest.mark.parametrize("rule", ["increasing", "decreasing", "cyclic", "anticyclic"])
+    def test_rule_graphs_and_link_swaps(self, rule):
+        base = partner_rule_graph(rule)
+        zero_l, one_l = logical_basis()
+        named = [bloch_state(p) for p in NAMED_POINTS.values()]
+        regular = [regular_state()] * 4
+        rng = np.random.default_rng(101)
+        for graph in [base] + [base.with_link_swapped(i) for i in range(10)]:
+            for _ in range(3):
+                assert_plan_bits(random_states(rng), graph)
+            for index in np.ndindex(*(2,) * 5):
+                assert_plan_bits([(zero_l, one_l)[b] for b in index], graph)
+            for state in named:
+                assert_plan_bits(regular + [state], graph)
+            assert_batch_bits(regular, named, graph)
+
+    def test_shuffled_and_reoriented_link_orders(self):
+        rng = np.random.default_rng(103)
+        rules = ["increasing", "decreasing", "cyclic", "anticyclic"]
+        for trial in range(30):
+            links = list(partner_rule_graph(rules[trial % 4]).links)
+            links = [links[i] for i in rng.permutation(10)]
+            links = [(b, a) if flip else (a, b) for (a, b), flip in zip(links, rng.random(10) < 0.5)]
+            graph = SpinNetworkGraph(tuple(links))
+            for _ in range(2):
+                assert_plan_bits(generic_states(rng, 5), graph)
+            assert_batch_bits(generic_states(rng, 4), generic_states(rng, 3), graph)
+
+    def test_first_link_touching_node_5(self):
+        links = list(cyclic_k5().links)
+        first = next(i for i, (a, b) in enumerate(links) if b[0] == 5)
+        graph = SpinNetworkGraph(tuple([links[first]] + links[:first] + links[first + 1:]))
+        assert graph.plan[0].fused == 4  # node 5 is placed by the very first step
+        rng = np.random.default_rng(107)
+        fixed = [regular_state()] * 4
+        fifth = purified_noisy_states(rng)
+        for state in fifth:
+            assert_plan_bits(fixed + [state], graph)
+        assert_batch_bits(fixed, fifth, graph)
+
+    def test_purified_noisy_states_on_every_node(self):
+        rng = np.random.default_rng(109)
+        purified = purified_noisy_states(rng)
+        assert min(closure_defect(state) for state in purified) > 1e-6
+        graph = cyclic_k5()
+        for start in range(0, 10, 5):
+            assert_plan_bits(purified[start:start + 5], graph)
+        assert_batch_bits(purified[:4], purified, graph)
+
+    def test_batch_equals_single_calls(self):
+        rng = np.random.default_rng(113)
+        fixed = random_states(rng, 4)
+        fifth = random_states(rng, 3) + generic_states(rng, 3)
+        for rule in ("increasing", "cyclic"):
+            graph = partner_rule_graph(rule)
+            batch = amplitude.fifth_node_amplitudes(fixed, fifth, graph)
+            single = [vertex_amplitude(fixed + [state], graph).value for state in fifth]
+            assert [bits(v) for v in batch] == [bits(v) for v in single]
+            assert amplitude.fifth_node_amplitudes(fixed, [], graph) == []
+
+    def test_batch_needs_four_fixed_states(self):
+        with pytest.raises(ValueError, match="need exactly 4 fixed states, got 3"):
+            amplitude.fifth_node_amplitudes([regular_state()] * 3, [regular_state()], cyclic_k5())
 
 
 class TestBasisTable:

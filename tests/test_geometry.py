@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,6 +101,10 @@ class TestAreasFromVertices:
         with pytest.raises(ValueError):
             TetrahedronVertices(a=0.0, b=0.5, c=1.0, d=0.2, e=0.7, f=1.0)
 
+    def test_degenerate_gauge_names_the_parameters(self):
+        with pytest.raises(ValueError, match="must be nonzero, got a=1.0, c=-0.0, f=2.5"):
+            TetrahedronVertices(a=1.0, b=0.5, c=-0.0, d=0.2, e=0.7, f=2.5)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_parameter_named(self, value):
         with pytest.raises(ValueError, match=f"gauge parameter e must be finite, got {value}"):
@@ -190,6 +195,17 @@ class TestReconstruct:
             mags, cos12, cos13 = measured_inputs(original)
             recovered = reconstruct(mags, cos12, cos13)
             assert recovered.a > 0 and recovered.c > 0 and recovered.f > 0
+
+    def test_solver_miss_names_the_best_residual_norm(self, monkeypatch):
+        # a solver that stops short from both starts, the Gram start the closer
+        misses = iter([np.full(6, 1e-3), np.array([3e-6, 0.0, 0.0, 4e-6, 0.0, 0.0])])
+
+        def stalled(fun, x0, **kwargs):
+            return SimpleNamespace(x=x0, fun=next(misses))
+
+        monkeypatch.setattr(geometry, "least_squares", stalled)
+        with pytest.raises(InfeasibleGeometryError, match="best residual norm 5.000e-06"):
+            expectations_to_geometry(BlochPoint(1.1, 0.7))
 
 
 class TestExpectationsToGeometry:

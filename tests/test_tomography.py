@@ -64,6 +64,17 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="must be positive semidefinite"):
             DensityMatrix(rho)
 
+    def test_hermitian_defect_in_message(self):
+        rho = np.eye(16, dtype=complex) / 16
+        rho[0, 1] = 0.01j
+        with pytest.raises(ValueError, match=r"max \|rho - rho\^dagger\| = 1\.000e-02 >= 1e-12"):
+            DensityMatrix(rho)
+
+    def test_smallest_eigenvalue_in_message(self):
+        rho = np.diag([0.5, 0.6, -0.1] + [0.0] * 13)
+        with pytest.raises(ValueError, match=r"smallest eigenvalue -1\.000e-01 < -1e-10"):
+            DensityMatrix(rho)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entries(self, value):
         with pytest.raises(ValueError, match="entries must be finite"):
