@@ -30,7 +30,6 @@ import tempfile
 import numpy as np
 
 from . import named_states, tomography
-from .amplitude import amplitude_sweep, partner_rule_graph
 from .geometry import InfeasibleGeometryError, expectations_to_geometry
 from .tetrahedron import (
     BlochPoint,
@@ -262,10 +261,7 @@ def _cmd_sweep(args) -> None:
                          f"the limit is {MAX_SWEEP_CELLS}")
     thetas = np.linspace(0.0, math.pi, args.grid_theta)
     phis = np.linspace(0.0, 2 * math.pi, args.grid_phi, endpoint=False)
-    grid = amplitude_sweep(
-        [named_states.regular_state()] * 4, thetas, phis,
-        partner_rule_graph(named_states.DEFAULT_RULE),
-    )
+    grid = named_states.fifth_node_sweep(thetas, phis)
     theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
     # np.hypot, not np.abs: it rounds each cell as the scalar abs() of a complex does
     columns = [theta_grid, phi_grid, grid.real, grid.imag, np.hypot(grid.real, grid.imag),

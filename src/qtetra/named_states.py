@@ -1,12 +1,13 @@
-"""The ten named target states and the reference amplitude cross-check.
+"""The ten named target states, the frozen amplitude convention and its cross-check.
 
 The registry A0..E1 fixes ten Bloch points used throughout the command-line
-surface. For each of them, REFERENCE_AMPLITUDES stores the expected vertex
-amplitude (in units of 1e-5, known only up to one global complex scale) when
-the other four nodes carry the regular state C1 and the network uses the
-cyclic slot assignment; ``calibrate_reference_convention`` re-derives that
-frozen choice by searching the small family of named slot rules and the two
-regular candidates.
+surface; their tensors are built once per process and shared read-only. For
+each of them, REFERENCE_AMPLITUDES stores the expected vertex amplitude (in
+units of 1e-5, known only up to one global complex scale) when the other four
+nodes carry the regular state C1 and the network uses the cyclic slot
+assignment. ``calibrate_reference_convention`` re-derives that frozen choice
+from the named slot rules and the two regular candidates, and this module
+alone applies it: ``fifth_node_amplitudes`` and ``fifth_node_sweep``.
 
 One caveat is handled explicitly: the reference value for C1 is internally
 inconsistent with multilinearity of the contraction. Any amplitude is linear
@@ -21,7 +22,9 @@ entries, together with the measured inconsistency factor for C1.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +78,17 @@ DEFAULT_RULE = "cyclic"
 DEFAULT_REGULAR = "C1"
 
 
-def regular_state(name: str = DEFAULT_REGULAR):
+@functools.cache
+def _named_tensors() -> types.MappingProxyType[str, InvariantTensor]:
+    """The ten named tensors, built once per process and shared read-only."""
+    return types.MappingProxyType({n: bloch_state(p) for n, p in NAMED_POINTS.items()})
+
+
+def regular_state(name: str = DEFAULT_REGULAR) -> InvariantTensor:
+    """The shared tensor of a regular candidate, C0 or C1."""
     if name not in REGULAR_CANDIDATES:
         raise ValueError(f"regular state must be one of {REGULAR_CANDIDATES}, got {name!r}")
-    return bloch_state(NAMED_POINTS[name])
+    return _named_tensors()[name]
 
 
 def fifth_node_amplitudes(states) -> list[complex]:
@@ -87,8 +97,10 @@ def fifth_node_amplitudes(states) -> list[complex]:
         [regular_state()] * 4, states, amplitude.partner_rule_graph(DEFAULT_RULE))
 
 
-def _named_tensors() -> dict[str, InvariantTensor]:
-    return {name: bloch_state(point) for name, point in NAMED_POINTS.items()}
+def fifth_node_sweep(theta_grid, phi_grid) -> np.ndarray:
+    """``amplitude.amplitude_sweep`` over node 5 in the frozen convention."""
+    return amplitude.amplitude_sweep(
+        [regular_state()] * 4, theta_grid, phi_grid, amplitude.partner_rule_graph(DEFAULT_RULE))
 
 
 def _fit_scale(computed: np.ndarray, reference: np.ndarray) -> complex:
@@ -131,21 +143,18 @@ def _relative_errors(computed: np.ndarray, reference: np.ndarray, scale: complex
 
 
 def reference_comparison(
-    rule: str = DEFAULT_RULE, regular: str = DEFAULT_REGULAR, *, _named=None
+    rule: str = DEFAULT_RULE, regular: str = DEFAULT_REGULAR
 ) -> ReferenceComparison:
     """Compute the ten named amplitudes and fit them against the references.
 
     Two global complex scales are fitted by least squares: ``scale_all`` over
     all ten entries, and ``scale_consistent`` excluding the C1 entry whose
-    reference violates multilinearity (see the module docstring). ``_named``
-    lets a caller comparing several candidates build the ten named
-    ``bloch_state``s once.
+    reference violates multilinearity (see the module docstring).
     """
     graph = amplitude.partner_rule_graph(rule)
-    reg = regular_state(regular)
-    named = _named_tensors() if _named is None else _named
-    values = amplitude.fifth_node_amplitudes([reg] * 4, list(named.values()), graph)
-    computed = dict(zip(named, values))
+    values = amplitude.fifth_node_amplitudes(
+        [regular_state(regular)] * 4, list(_named_tensors().values()), graph)
+    computed = dict(zip(STATE_NAMES, values))
 
     names = list(STATE_NAMES)
     comp = np.array([computed[n] for n in names])
@@ -185,10 +194,9 @@ def calibrate_reference_convention() -> CalibrationResult:
     the exact zero required at C0); the first pair in the fixed candidate
     order whose worst relative error is below ``CALIBRATION_TOLERANCE`` wins.
     """
-    named = _named_tensors()
     for rule in RULE_CANDIDATES:
         for regular in REGULAR_CANDIDATES:
-            comparison = reference_comparison(rule, regular, _named=named)
+            comparison = reference_comparison(rule, regular)
             if (
                 comparison.max_consistent_error() < CALIBRATION_TOLERANCE
                 and comparison.errors_consistent["C0"] < 1e-6

@@ -85,6 +85,12 @@ class NoiseSpec:
             raise ValueError(
                 f"rotation_angle_sd must be finite and non-negative, got {self.rotation_angle_sd}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        # -0.0 passes the checks above; as 0.0 numpy's normal() accepts it, and a
+        # report reads the same as for 0
+        object.__setattr__(self, "depolarizing_p", abs(self.depolarizing_p))
+        object.__setattr__(self, "rotation_angle_sd", abs(self.rotation_angle_sd))
 
 
 DEFAULT_NOISE = NoiseSpec()
@@ -171,6 +177,9 @@ def fidelity(a, b) -> float:
 def apply_noise(rho: DensityMatrix, noise: NoiseSpec, rng: np.random.Generator) -> DensityMatrix:
     """Small random z-rotations on each qubit, then depolarizing."""
     angles = rng.normal(0.0, noise.rotation_angle_sd, 4)
+    if not np.isfinite(angles).all():
+        raise ValueError(f"rotation_angle_sd {noise.rotation_angle_sd!r} is too large: "
+                         "a drawn z-rotation angle overflowed")
     u = np.array([[1.0 + 0.0j]])
     for angle in angles:
         u = np.kron(u, np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)]))
@@ -216,15 +225,16 @@ class TargetReport:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """Per-target results under one noise setting, in the frozen ``named_states`` convention."""
+
     noise: NoiseSpec
-    rule: str
-    regular: str
     targets: tuple[TargetReport, ...]
 
     def to_dict(self) -> dict:
         return {
             "noise": asdict(self.noise),
-            "convention": {"slot_rule": self.rule, "regular_state": self.regular},
+            "convention": {"slot_rule": named_states.DEFAULT_RULE,
+                           "regular_state": named_states.DEFAULT_REGULAR},
             "targets": [t.to_dict() for t in self.targets],
         }
 
@@ -245,10 +255,12 @@ def simulate_experiment(
     amplitude is evaluated; in the noiseless limit the amplitudes then match
     the theory values exactly.
     """
+    if noise.depolarizing_p == 1.0:
+        raise ValueError("depolarizing_p = 1 leaves every noisy state maximally mixed, "
+                         "so there is no dominant eigenvector to purify")
     if targets is None:
         targets = named_states.NAMED_POINTS
     rng = np.random.default_rng(noise.seed)
-    rule, regular = named_states.DEFAULT_RULE, named_states.DEFAULT_REGULAR
     interior_ops = [dihedral_operator(pair).entries for pair in ((1, 2), (1, 3), (1, 4))]
     reports = []
     for name, point in targets.items():
@@ -284,4 +296,4 @@ def simulate_experiment(
                 amplitude_purified=amp_purified,
             )
         )
-    return ExperimentReport(noise=noise, rule=rule, regular=regular, targets=tuple(reports))
+    return ExperimentReport(noise=noise, targets=tuple(reports))

@@ -161,7 +161,7 @@ class TestFifthNodeAmplitude:
 
 
 class TestCalibration:
-    def test_named_states_built_once_per_call(self, monkeypatch):
+    def test_named_states_built_once_per_process(self, monkeypatch):
         from qtetra import named_states
 
         built = []
@@ -171,11 +171,13 @@ class TestCalibration:
             return bloch_state(point)
 
         monkeypatch.setattr(named_states, "bloch_state", counting)
+        named_states._named_tensors.cache_clear()
         calibration = named_states.calibrate_reference_convention()
-        # the ten named states once, then one regular state per candidate
-        # tried: six, up to and including cyclic/C1
-        assert len(built) == 10 + 6
-        assert built[:10] == list(NAMED_POINTS.values())
+        # the ten named states, the regular candidates among them, and no more
+        assert built == list(NAMED_POINTS.values())
+        named_states.calibrate_reference_convention()
+        assert len(built) == 10
+        assert named_states.regular_state("C1") is named_states.regular_state("C1")
         monkeypatch.undo()
         fresh = named_states.reference_comparison(calibration.rule, calibration.regular)
         assert {n: bits(v) for n, v in calibration.comparison.computed.items()} == {

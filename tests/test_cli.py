@@ -8,6 +8,8 @@ import math
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 import threading
 import time
 from unittest import mock
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qtetra import cli
+from qtetra import cli, named_states
 from qtetra.cli import main
 
 
@@ -154,9 +156,9 @@ class TestAmplitudeAndSweep:
 
     def test_sweep_over_the_cell_limit_is_one_error_line(self, monkeypatch, capsys):
         def never(*args, **kwargs):
-            raise AssertionError("amplitude_sweep called")
+            raise AssertionError("fifth_node_sweep called")
 
-        monkeypatch.setattr(cli, "amplitude_sweep", never)
+        monkeypatch.setattr(named_states, "fifth_node_sweep", never)
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "sweep", "--grid-theta", "20000", "--grid-phi", "20000")
         assert time.perf_counter() - started < 1.0
@@ -223,6 +225,29 @@ class TestExperimentCommand:
         code, out, err = run_cli(capsys, "experiment", "--states", "A0", "--rotation-sd", value)
         assert code == 1 and out == ""
         assert err == f"error: rotation_angle_sd must be finite and non-negative, got {value}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags, message", [
+        (("--rotation-sd", "1e308"),
+         "rotation_angle_sd 1e+308 is too large: a drawn z-rotation angle overflowed"),
+        (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+        (("--depolarizing-p", "1"),
+         "depolarizing_p = 1 leaves every noisy state maximally mixed, "
+         "so there is no dominant eigenvector to purify"),
+    ], ids=["rotation-overflow", "negative-seed", "fully-depolarized"])
+    def test_noise_out_of_reach_is_one_error_line(self, flags, message, capsys):
+        code, out, err = run_cli(capsys, "experiment", *flags)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_negative_zero_noise_runs_as_zero(self, capsys):
+        def run(value):
+            return run_cli(capsys, "experiment", "--states", "B0", "--format", "json",
+                           "--rotation-sd", value, "--depolarizing-p", value)
+
+        code, out, err = run("-0.0")
+        assert code == 0 and err == ""
+        assert out == run("0")[1]
 
     def test_unknown_state_lists_known(self, capsys):
         code, out, err = run_cli(capsys, "experiment", "--states", "A0,Z9")
@@ -308,7 +333,7 @@ class TestPlumbing:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "amplitude_sweep", exhausted)
+        monkeypatch.setattr(named_states, "fifth_node_sweep", exhausted)
         path = tmp_path / "out"
         path.write_text("earlier output\n")
         code, out, err = run_cli(
@@ -523,3 +548,69 @@ def test_output_bytes_pinned(args, tmp_path, capsys):
     code, _, err = run_cli(capsys, *args.split(), "--out", str(path))
     assert code == 0, err
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDENS[args]
+
+
+# The pins whose bytes are the same under every kernel variant below; the
+# others move in their last bits with numpy's SIMD kernels or OpenBLAS's.
+PORTABLE_PINS = (
+    "amplitude --theta 0.7 --phi 2.0 --format json",
+    "fluct --states A0,B0",
+    "fluct --states A1,B1,C1,D1,E1 --format json",
+    "fluct --theta 1.2 --phi 0.5",
+    "reconstruct --states B0,D0 --format json",
+    "reconstruct --states C1",
+    "reconstruct --states D1 --format json",
+    "table2",
+    "table2 --format json",
+    "tetra --states A0,B0,C0,D0,E0 --format json",
+    "tetra --states C0,C1 --convention normals",
+    "tetra --theta 0 --phi 0",
+)
+
+# Each variant sets both variables, so the caller's own values cannot leak in.
+KERNEL_VARIANTS = {
+    "sse-only": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+                 "OPENBLAS_CORETYPE": "Nehalem"},
+    "openblas-haswell": {"NPY_DISABLE_CPU_FEATURES": "", "OPENBLAS_CORETYPE": "Haswell"},
+}
+
+# Runs every pin given as a JSON list in argv[1] through one cli.main each and
+# prints their SHA-256 as JSON, or the reason numpy could not be imported.
+_PIN_CHILD = """
+import hashlib, json, os, sys, tempfile
+try:
+    import numpy
+except Exception as exc:
+    print(json.dumps({"skip": f"{type(exc).__name__}: {exc}"}))
+    sys.exit(0)
+from qtetra.cli import main
+hashes = {}
+with tempfile.TemporaryDirectory() as scratch:
+    path = os.path.join(scratch, "out")
+    for args in json.loads(sys.argv[1]):
+        if main(args.split() + ["--out", path]) != 0:
+            sys.exit(f"qtetra {args} failed")
+        with open(path, "rb") as handle:
+            hashes[args] = hashlib.sha256(handle.read()).hexdigest()
+print(json.dumps({"hashes": hashes}))
+"""
+
+
+@pytest.mark.parametrize("variant", sorted(KERNEL_VARIANTS))
+def test_portable_pins_hold_under_other_cpu_kernels(variant):
+    """The portable pins hash equal when numpy and OpenBLAS take other x86-64 kernels.
+
+    One child process per variant runs all of them. The variants emulate
+    other x86-64 CPUs on the host's CPU only: they do not cover another libm
+    (macOS, musl) or ARM. A variant whose child cannot import numpy is skipped.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, **KERNEL_VARIANTS[variant], "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _PIN_CHILD, json.dumps(PORTABLE_PINS)],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    if "skip" in result:
+        pytest.skip(f"numpy does not start under {variant}: {result['skip']}")
+    assert result["hashes"] == {args: GOLDENS[args] for args in PORTABLE_PINS}
