@@ -119,6 +119,20 @@ def _check_qubit(axis: str, k, n) -> tuple[int, int]:
     return int(k), n
 
 
+def _tensor_products(factors) -> np.ndarray:
+    """All tensor products of one 2x2 choice per qubit, qubit 1's choice varying slowest.
+
+    ``factors[i]`` stacks the (m_i, 2, 2) choices for qubit i+1; the result has
+    shape (m_1*...*m_n, 2^n, 2^n). Each step is the broadcast multiply of
+    ``np.kron(out, f)``, so the bytes equal those of a kron chain from [[1]].
+    """
+    out = np.ones((1, 1, 1), dtype=complex)
+    for f in factors:
+        d = 2 * out.shape[1]
+        out = (out[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(-1, d, d)
+    return out
+
+
 # The fixed operators are built once per argument tuple and then shared: their
 # entries are read-only, so no caller can alter what another one sees. The
 # public functions validate their arguments on every call, then read the memo.
@@ -128,10 +142,8 @@ def _check_qubit(axis: str, k, n) -> tuple[int, int]:
 
 @functools.cache
 def _pauli_embedded(axis: str, k: int, n: int) -> DenseOperator:
-    out = np.array([[1.0 + 0.0j]])
-    for i in range(1, n + 1):
-        out = np.kron(out, PAULI[axis] if i == k else np.eye(2))
-    return DenseOperator(n, out)
+    factors = [PAULI[axis] if i == k else np.eye(2, dtype=complex) for i in range(1, n + 1)]
+    return DenseOperator(n, _tensor_products([f[None] for f in factors])[0])
 
 
 @functools.cache

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import named_states
-from .spin_algebra import HERMITIAN_ATOL, PAULI, StateVector
+from .spin_algebra import HERMITIAN_ATOL, PAULI, StateVector, _tensor_products
 from .tetrahedron import (
     BlochPoint,
     bloch_state,
@@ -80,7 +80,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_p <= 1.0:
-            raise ValueError("depolarizing_p must lie in [0, 1]")
+            raise ValueError(f"depolarizing_p must lie in [0, 1], got {self.depolarizing_p}")
         if not (math.isfinite(self.rotation_angle_sd) and self.rotation_angle_sd >= 0.0):
             raise ValueError(
                 f"rotation_angle_sd must be finite and non-negative, got {self.rotation_angle_sd}"
@@ -97,28 +97,15 @@ DEFAULT_NOISE = NoiseSpec()
 ZERO_NOISE = NoiseSpec(depolarizing_p=0.0, rotation_angle_sd=0.0, seed=0)
 
 
-_PAULI_LETTERS = ("I", "X", "Y", "Z")
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": PAULI["x"],
-    "Y": PAULI["y"],
-    "Z": PAULI["z"],
-}
-
-
 def pauli_strings() -> list[str]:
     """The 256 four-qubit Pauli labels in canonical order (qubit 1 first)."""
-    return ["".join(p) for p in itertools.product(_PAULI_LETTERS, repeat=4)]
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=4)]
 
 
 @functools.cache
 def _pauli_matrices() -> np.ndarray:
-    mats = np.empty((256, DIM, DIM), dtype=complex)
-    for i, label in enumerate(pauli_strings()):
-        m = np.array([[1.0 + 0.0j]])
-        for ch in label:
-            m = np.kron(m, _SINGLE[ch])
-        mats[i] = m
+    single = np.stack([np.eye(2, dtype=complex), PAULI["x"], PAULI["y"], PAULI["z"]])
+    mats = _tensor_products([single] * 4)
     mats.setflags(write=False)
     return mats
 
@@ -180,9 +167,7 @@ def apply_noise(rho: DensityMatrix, noise: NoiseSpec, rng: np.random.Generator) 
     if not np.isfinite(angles).all():
         raise ValueError(f"rotation_angle_sd {noise.rotation_angle_sd!r} is too large: "
                          "a drawn z-rotation angle overflowed")
-    u = np.array([[1.0 + 0.0j]])
-    for angle in angles:
-        u = np.kron(u, np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)]))
+    u = _tensor_products([np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])[None] for a in angles])[0]
     mixed = u @ rho.entries @ u.conj().T
     p = noise.depolarizing_p
     return DensityMatrix((1 - p) * mixed + p * np.eye(DIM) / DIM)
@@ -255,9 +240,11 @@ def simulate_experiment(
     amplitude is evaluated; in the noiseless limit the amplitudes then match
     the theory values exactly.
     """
-    if noise.depolarizing_p == 1.0:
-        raise ValueError("depolarizing_p = 1 leaves every noisy state maximally mixed, "
-                         "so there is no dominant eigenvector to purify")
+    # a pure target keeps a top-eigenvalue gap of exactly 1 - p through the noise
+    if 1.0 - noise.depolarizing_p < PURIFY_GAP_ATOL:
+        raise ValueError(f"depolarizing_p = {noise.depolarizing_p} leaves a purification gap "
+                         f"1 - p = {1.0 - noise.depolarizing_p:.3e} below PURIFY_GAP_ATOL = "
+                         f"{PURIFY_GAP_ATOL:g}, so there is no dominant eigenvector to purify")
     if targets is None:
         targets = named_states.NAMED_POINTS
     rng = np.random.default_rng(noise.seed)

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, determinism, error handling."""
 
+import contextlib
 import errno
 import hashlib
 import io
@@ -232,13 +233,22 @@ class TestExperimentCommand:
          "rotation_angle_sd 1e+308 is too large: a drawn z-rotation angle overflowed"),
         (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
         (("--depolarizing-p", "1"),
-         "depolarizing_p = 1 leaves every noisy state maximally mixed, "
-         "so there is no dominant eigenvector to purify"),
-    ], ids=["rotation-overflow", "negative-seed", "fully-depolarized"])
+         "depolarizing_p = 1.0 leaves a purification gap 1 - p = 0.000e+00 below "
+         "PURIFY_GAP_ATOL = 1e-10, so there is no dominant eigenvector to purify"),
+        (("--depolarizing-p", "0.99999999999"),
+         "depolarizing_p = 0.99999999999 leaves a purification gap 1 - p = 1.000e-11 below "
+         "PURIFY_GAP_ATOL = 1e-10, so there is no dominant eigenvector to purify"),
+    ], ids=["rotation-overflow", "negative-seed", "fully-depolarized", "gap-below-atol"])
     def test_noise_out_of_reach_is_one_error_line(self, flags, message, capsys):
         code, out, err = run_cli(capsys, "experiment", *flags)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_depolarizing_just_within_reach_runs(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "--states", "A0",
+                                 "--depolarizing-p", "0.999999999")
+        assert code == 0 and err == ""
+        assert len(out.strip().split("\n")) == 2
 
     def test_negative_zero_noise_runs_as_zero(self, capsys):
         def run(value):
@@ -518,6 +528,50 @@ class TestStreamedWriters:
         with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
             cli._write_json_rows(header, iter(rows), actual)
         assert actual.getvalue() == expected.getvalue()
+
+
+# Edge values for the noise flags, and for the seed, beside hypothesis's own draws
+_NOISE_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1 - 1e-9, 1 - 1e-11, 1.0,
+                1 + 2**-52, 2.0, -1.0, 1e308]
+_SEED_EDGES = [-1, 0, 1, 2**31 - 1, 2**32, 2**63, 2**64, 2**128]
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of one cli.main call, argparse's SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExperimentBoundary:
+    """Any noise setting ends in finite numbers, in one error line, or in a usage error."""
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.sampled_from(_NOISE_EDGES) | st.floats(0, 1) | st.floats(),
+           st.sampled_from(_NOISE_EDGES) | st.floats(0, 4) | st.floats(),
+           st.sampled_from(_SEED_EDGES) | st.integers(0, 2**64) | st.integers(-(2**130), 2**130))
+    @example(1 - 1e-9, 0.04, 42)
+    @example(1 - 1e-11, 0.04, 42)
+    @example(0.02, 1e308, 2**128)
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_ends_in_a_result_or_one_error_line(self, p, sd, seed):
+        argv = ["experiment", "--states", "A0", "--depolarizing-p", repr(p),
+                "--rotation-sd", repr(sd), "--seed", str(seed)]
+        code, out, err = _run_in_process(argv)
+        if code == 0:
+            assert err == ""
+            for row in out.splitlines()[1:]:
+                assert all(math.isfinite(float(cell)) for cell in row.split(",")[1:]), row
+        elif code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            # argparse reads a value such as "-inf" as an option
+            assert code == 2 and out == "" and err.startswith("usage: "), err
+        assert _run_in_process(argv) == (code, out, err)
 
 
 # SHA-256 of the --out bytes of every benchmark argument list, recorded from

@@ -8,6 +8,7 @@ import pytest
 
 from qtetra.spin_algebra import (
     AXES,
+    MAX_OPERATOR_QUBITS,
     CouplingLabel,
     StateVector,
     angular_momentum,
@@ -71,16 +72,19 @@ class TestPauliEmbedded:
 class TestSharedOperators:
     """The fixed operators are built once, shared read-only, and still validated."""
 
-    @pytest.mark.parametrize("n", [4, 3])
+    @pytest.mark.parametrize("n", range(1, MAX_OPERATOR_QUBITS + 1))
     def test_equal_to_a_fresh_kron_build(self, n):
+        # tobytes() as well: array_equal ignores the sign of zero
         single = dict(zip(AXES, (SX, SY, SZ)))
         for axis in AXES:
             for k in range(1, n + 1):
                 fresh = kron_chain(
                     [single[axis] if i == k else np.eye(2) for i in range(1, n + 1)]
                 )
-                assert np.array_equal(pauli_embedded(axis, k, n).entries, fresh)
-                assert np.array_equal(angular_momentum(axis, k, n).entries, fresh / 2)
+                for built, expected in ((pauli_embedded(axis, k, n), fresh),
+                                        (angular_momentum(axis, k, n), fresh / 2)):
+                    assert np.array_equal(built.entries, expected)
+                    assert built.entries.tobytes() == expected.tobytes()
 
     def test_repeated_calls_share_one_object(self):
         assert pauli_embedded("y", 2, 4) is pauli_embedded("y", 2, 4)

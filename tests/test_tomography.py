@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtetra.named_states import NAMED_POINTS
+from qtetra.spin_algebra import PAULI
 from qtetra.tetrahedron import bloch_state, fluctuation
 from qtetra.tomography import (
     DEFAULT_NOISE,
@@ -11,6 +12,8 @@ from qtetra.tomography import (
     DegeneracyError,
     DensityMatrix,
     NoiseSpec,
+    _pauli_matrices,
+    apply_noise,
     fidelity,
     ml_purify,
     pauli_expectations,
@@ -91,6 +94,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match=f"rotation_angle_sd .* got {sd}"):
             NoiseSpec(rotation_angle_sd=sd)
 
+    @pytest.mark.parametrize("p", [2.0, -0.5, np.nan])
+    def test_bad_depolarizing_p_named_with_its_value(self, p):
+        with pytest.raises(ValueError, match=rf"depolarizing_p must lie in \[0, 1\], got {p}$"):
+            NoiseSpec(depolarizing_p=p)
+
 
 class TestPauliTomography:
     def test_maximally_mixed(self):
@@ -116,6 +124,50 @@ class TestPauliTomography:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             rho_from_expectations(np.zeros(255))
+
+
+class TestKronChainBytes:
+    """The Pauli stack and the noise rotation keep the bytes of the kron chains they replaced."""
+
+    SINGLE = {
+        "I": np.eye(2, dtype=complex),
+        "X": PAULI["x"],
+        "Y": PAULI["y"],
+        "Z": PAULI["z"],
+    }
+
+    def kron_pauli_matrices(self):
+        mats = np.empty((256, 16, 16), dtype=complex)
+        for i, label in enumerate(pauli_strings()):
+            m = np.array([[1.0 + 0.0j]])
+            for ch in label:
+                m = np.kron(m, self.SINGLE[ch])
+            mats[i] = m
+        return mats
+
+    @staticmethod
+    def kron_apply_noise(rho, noise, rng):
+        angles = rng.normal(0.0, noise.rotation_angle_sd, 4)
+        u = np.array([[1.0 + 0.0j]])
+        for angle in angles:
+            u = np.kron(u, np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)]))
+        mixed = u @ rho.entries @ u.conj().T
+        p = noise.depolarizing_p
+        return DensityMatrix((1 - p) * mixed + p * np.eye(16) / 16)
+
+    def test_pauli_stack(self):
+        assert _pauli_matrices().tobytes() == self.kron_pauli_matrices().tobytes()
+
+    def test_noise_rotations(self):
+        rng = np.random.default_rng(103)
+        sds = (0.0, -0.0, 0.04, 0.3, 2.0)
+        for seed in range(250):
+            noise = NoiseSpec(depolarizing_p=(0.0, 0.02, 0.5)[seed % 3],
+                              rotation_angle_sd=sds[seed % len(sds)], seed=seed)
+            rho = random_density(rng)
+            expected = self.kron_apply_noise(rho, noise, np.random.default_rng(seed))
+            actual = apply_noise(rho, noise, np.random.default_rng(seed))
+            assert actual.entries.tobytes() == expected.entries.tobytes(), noise
 
 
 class TestMlPurify:
