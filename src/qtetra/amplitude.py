@@ -23,13 +23,14 @@ first endpoint). ``partner_rule_graph`` names four slot assignments, among them:
 Each graph compiles its sequential contraction into a fixed plan once, when
 it is built: per link, the nodes the link places, the transpose that moves
 the contracted qubit pair last, and the row count of the matrix that meets
-the singlet. ``vertex_amplitude`` runs that plan, and
-``fifth_node_amplitudes`` runs the steps before node 5 is first placed once
-per batch of fifth-node states. The plan performs the float operations of a
-``np.multiply.outer`` then ``np.tensordot`` per link, on the same operands in
-the same order, and numpy rounds each complex product the same whatever the
-memory layout, so its amplitudes are bit-identical to that form; the tests
-keep that form as their reference.
+the singlet. ``vertex_amplitude`` runs that plan. ``fifth_node_head`` runs
+the steps before node 5 is first placed, and ``fifth_node_tail`` the rest
+for each of a batch of fifth-node states, so one head can serve many
+batches. The plan performs the float operations of a ``np.multiply.outer``
+then ``np.tensordot`` per link, on the same operands in the same order, and
+numpy rounds each complex product the same whatever the memory layout, so
+its amplitudes are bit-identical to that form; the tests keep that form as
+their reference.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .spin_algebra import _state_amplitudes
-from .tetrahedron import InvariantTensor, bloch_coefficients, logical_basis
+from .tetrahedron import _as_amplitudes, bloch_coefficients, logical_basis
 
 NODES = (1, 2, 3, 4, 5)
 SLOTS = (1, 2, 3, 4)
@@ -57,6 +57,7 @@ _EPS = _SINGLET.reshape(2, 2).copy()
 # np.dot would cast the float singlet to complex on every call; casting once is exact.
 _EPS_COLUMN = _EPS.reshape(4, 1).astype(complex)
 _ONE = np.array(1.0, dtype=complex)
+_ONE.setflags(write=False)
 # 2^6 rows of a fused product, 32 complex entries each: 32 KB, which stays in
 # a typical L1 data cache while every entry of the tile is written.
 _TILE_AXES = 6
@@ -229,12 +230,6 @@ def cyclic_k5() -> SpinNetworkGraph:
     return partner_rule_graph("cyclic")
 
 
-def _as_amplitudes(state) -> np.ndarray:
-    if isinstance(state, InvariantTensor):
-        return state.embedded.amplitudes
-    return _state_amplitudes(state, 4)
-
-
 def _node_tensors(states) -> list[np.ndarray]:
     if len(states) != 5:
         raise ValueError(f"need exactly 5 node states, got {len(states)}")
@@ -254,23 +249,41 @@ def vertex_amplitude(states, graph: SpinNetworkGraph) -> AmplitudeResult:
     return AmplitudeResult(complex(_run_plan(_ONE, _node_tensors(states), graph.plan)[0, 0]))
 
 
+class FifthNodeHead(NamedTuple):
+    """Nodes 1-4 of a graph, contracted up to the plan step that first places node 5."""
+
+    partial: np.ndarray  # the contraction so far, read-only
+    tensors: tuple[np.ndarray, ...]  # nodes 1-4, which the later steps may still place
+    steps: tuple[_Step, ...]  # the rest of the plan
+
+
+def fifth_node_head(fixed, graph: SpinNetworkGraph) -> FifthNodeHead:
+    """Run the plan steps of ``graph`` before node 5 is first placed, ``fixed`` at nodes 1-4."""
+    if len(fixed) != 4:
+        raise ValueError(f"need exactly 4 fixed states, got {len(fixed)}")
+    tensors = tuple(_as_amplitudes(s).reshape(2, 2, 2, 2) for s in fixed)
+    split = next(i for i, step in enumerate(graph.plan) if 4 in (step.fused, *step.outer))
+    partial = _run_plan(_ONE, tensors, graph.plan[:split])
+    partial.setflags(write=False)
+    return FifthNodeHead(partial, tensors, graph.plan[split:])
+
+
+def fifth_node_tail(head: FifthNodeHead, states) -> list[complex]:
+    """Vertex amplitudes of the head's nodes 1-4 with each of ``states`` at node 5."""
+    values = []
+    for state in states:
+        tensors = (*head.tensors, _as_amplitudes(state).reshape(2, 2, 2, 2))
+        values.append(complex(_run_plan(head.partial, tensors, head.steps)[0, 0]))
+    return values
+
+
 def fifth_node_amplitudes(fixed, states, graph: SpinNetworkGraph) -> list[complex]:
     """Vertex amplitudes of ``fixed`` (nodes 1-4) with each of ``states`` at node 5.
 
-    The plan steps before node 5 is first placed run once for the batch; each
+    The head runs once for the batch and the tail once per state; each
     amplitude is bit-identical to ``vertex_amplitude(fixed + [state], graph)``.
     """
-    if len(fixed) != 4:
-        raise ValueError(f"need exactly 4 fixed states, got {len(fixed)}")
-    tensors = [_as_amplitudes(s).reshape(2, 2, 2, 2) for s in fixed] + [None]
-    fifth = [_as_amplitudes(s).reshape(2, 2, 2, 2) for s in states]
-    split = next(i for i, step in enumerate(graph.plan) if 4 in (step.fused, *step.outer))
-    head = _run_plan(_ONE, tensors, graph.plan[:split])
-    values = []
-    for tensor in fifth:
-        tensors[4] = tensor
-        values.append(complex(_run_plan(head, tensors, graph.plan[split:])[0, 0]))
-    return values
+    return fifth_node_tail(fifth_node_head(fixed, graph), states)
 
 
 def vertex_amplitude_bruteforce(states, graph: SpinNetworkGraph) -> AmplitudeResult:

@@ -428,8 +428,9 @@ def _argv_from_config(path: str) -> list[str]:
             if key == "command":
                 command = value
             else:
-                flag = "--" + key.replace("_", "-")
-                argv.extend([flag, value])
+                # one --key=value token, so argparse never reads a value such
+                # as -1e-05 as an option
+                argv.append(f"--{key.replace('_', '-')}={value}")
     if command is None:
         raise ValueError("config file must set 'command'")
     if command not in _HANDLERS:

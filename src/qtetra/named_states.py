@@ -91,10 +91,16 @@ def regular_state(name: str = DEFAULT_REGULAR) -> InvariantTensor:
     return _named_tensors()[name]
 
 
+@functools.cache
+def _frozen_head() -> amplitude.FifthNodeHead:
+    """Nodes 1-4 of the frozen convention, contracted once per process."""
+    return amplitude.fifth_node_head(
+        [regular_state()] * 4, amplitude.partner_rule_graph(DEFAULT_RULE))
+
+
 def fifth_node_amplitudes(states) -> list[complex]:
     """Vertex amplitudes with each state at node 5, DEFAULT_REGULAR elsewhere, on DEFAULT_RULE."""
-    return amplitude.fifth_node_amplitudes(
-        [regular_state()] * 4, states, amplitude.partner_rule_graph(DEFAULT_RULE))
+    return amplitude.fifth_node_tail(_frozen_head(), states)
 
 
 def fifth_node_sweep(theta_grid, phi_grid) -> np.ndarray:

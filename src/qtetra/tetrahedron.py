@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import AXES, DenseOperator, StateVector, angular_momentum
+from .spin_algebra import AXES, DenseOperator, StateVector, _state_amplitudes, angular_momentum
 
 # Closure makes opposite pairs interchangeable: (3,4)~(1,2), (2,4)~(1,3), (2,3)~(1,4).
 PAIR_CLASS = {
@@ -82,6 +82,13 @@ class InvariantTensor:
         object.__setattr__(self, "point", _as_point(self.point))
         alpha, beta = bloch_coefficients(self.point)
         object.__setattr__(self, "embedded", StateVector(4, alpha * _ZERO_L + beta * _ONE_L))
+
+
+def _as_amplitudes(state) -> np.ndarray:
+    """The 16 amplitudes of an InvariantTensor, a 4-qubit StateVector or an array."""
+    if isinstance(state, InvariantTensor):
+        return state.embedded.amplitudes
+    return _state_amplitudes(state, 4)
 
 
 def _as_point(point) -> BlochPoint:

@@ -6,6 +6,14 @@ depolarizing), full Pauli tomography (all 256 four-qubit Pauli expectations
 are evaluated directly and inverted), purification to the dominant
 eigenvector, and fidelity scoring with the normalized Hilbert-Schmidt
 overlap trace(ab)/sqrt(trace(a^2) trace(b^2)).
+
+Every Pauli string has one nonzero entry, 1, -1, i or -i, in each row and
+each column, so the expectations are a gather and the inversion a scatter
+over tables built once per process on first use. Every product is exact;
+only the order of the sums could move a bit, and both run in the order of
+the ``np.einsum`` forms over the (256, 16, 16) stack that they replace, so
+their results are bit-identical to that form. The tests keep it as their
+reference.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from . import named_states
 from .spin_algebra import HERMITIAN_ATOL, PAULI, StateVector, _tensor_products
 from .tetrahedron import (
     BlochPoint,
+    _as_amplitudes,
     bloch_state,
     dihedral_operator,
     fluctuation,
@@ -62,9 +71,18 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, state) -> "DensityMatrix":
-        psi = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
+        """|psi><psi| of an InvariantTensor, a 4-qubit StateVector or 16 amplitudes, normalized."""
+        psi = _as_amplitudes(state)
         psi = psi / np.linalg.norm(psi)
         return cls(np.outer(psi, psi.conj()))
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "DensityMatrix":
+        """Wrap a complex 16x16 array that is a density matrix by construction, unchecked."""
+        rho = object.__new__(cls)
+        arr.setflags(write=False)
+        object.__setattr__(rho, "entries", arr)
+        return rho
 
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)
@@ -110,19 +128,76 @@ def _pauli_matrices() -> np.ndarray:
     return mats
 
 
-def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
-    """<P> = trace(rho P) for all 256 Pauli strings, canonically indexed."""
+@functools.cache
+def _expectation_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Where each term of trace(rho P_k) = sum_ij rho_ij (P_k)_ji sits in rho's floats.
+
+    Column i of P_k has one nonzero entry w, in row j, so Re(rho_ij w) is
+    +-Re(rho_ij) for w = +-1 and -+Im(rho_ij) for w = +-i. Both tables are
+    (16, 256): row i holds, for every string k, the index of that float in
+    rho's interleaved (re, im) view and its sign.
+    """
     mats = _pauli_matrices()
-    # trace(rho P) = sum_ij rho_ij P_ji
-    return np.einsum("ij,kji->k", rho.entries, mats).real
+    k, i = np.indices((len(mats), DIM))
+    j = (mats != 0).argmax(axis=1)
+    w = mats[k, j, i]
+    imaginary = w.real == 0
+    index = 2 * (DIM * i + j) + imaginary
+    sign = np.where(imaginary, -w.imag, w.real)
+    return _read_only(index.T), _read_only(sign.T)
+
+
+@functools.cache
+def _inversion_scatter() -> tuple[np.ndarray, np.ndarray]:
+    """The 16 strings k with (P_k)_ij != 0 of every cell (i, j), ascending, and those entries.
+
+    Both tables are (16, 256): column 16 i + j lists cell (i, j)'s strings.
+    """
+    flat = _pauli_matrices().reshape(-1, DIM * DIM)
+    cells, strings = np.nonzero(flat.T)
+    entries = flat[strings, cells]
+    return _read_only(strings.reshape(-1, DIM).T), _read_only(entries.reshape(-1, DIM).T)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    return arr
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum the rows of a C-contiguous array one after the other, as einsum does.
+
+    numpy sums pairwise only along the fast axis of memory, so a sum over
+    axis 0 adds row 0, then row 1, and so on. einsum's output starts from
+    +0.0, so a sum of -0.0 terms reads +0.0 there; the final + 0.0 keeps that
+    whether the reduction starts from +0.0 (numpy 2.4 does) or from row 0.
+    """
+    return np.add.reduce(terms, axis=0) + 0.0
+
+
+def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
+    """<P> = trace(rho P) for all 256 Pauli strings, canonically indexed.
+
+    The 16 terms of each string are summed in ascending row of rho. That is
+    np.einsum("ij,kji->k", rho, P).real bit for bit; ordering them by the row
+    of P instead is not, as u rho u^dagger is Hermitian only to the last bit.
+    """
+    index, sign = _expectation_gather()
+    return _ordered_sum(rho.entries.reshape(-1).view(np.float64)[index] * sign)
 
 
 def rho_from_expectations(values) -> DensityMatrix:
-    """Invert tomography: rho = (1/16) sum_P <P> P (exact round trip)."""
+    """Invert tomography: rho = (1/16) sum_P <P> P (exact round trip).
+
+    Each cell sums its 16 terms in ascending string order: bit for bit
+    np.einsum("k,kij->ij", values, P) / 16.
+    """
     vals = np.asarray(values, dtype=float)
     if vals.shape != (256,):
         raise ValueError(f"expected 256 Pauli expectations, got {vals.shape}")
-    rho = np.einsum("k,kij->ij", vals, _pauli_matrices()) / DIM
+    strings, entries = _inversion_scatter()
+    rho = _ordered_sum(vals[strings] * entries).reshape(DIM, DIM) / DIM
     return DensityMatrix(rho)
 
 
@@ -170,7 +245,8 @@ def apply_noise(rho: DensityMatrix, noise: NoiseSpec, rng: np.random.Generator) 
     u = _tensor_products([np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])[None] for a in angles])[0]
     mixed = u @ rho.entries @ u.conj().T
     p = noise.depolarizing_p
-    return DensityMatrix((1 - p) * mixed + p * np.eye(DIM) / DIM)
+    # a convex mixture of a unitary conjugate of a valid rho and I/16 is valid
+    return DensityMatrix._trusted((1 - p) * mixed + p * np.eye(DIM) / DIM)
 
 
 _COSINES = ("cos12", "cos13", "cos14")
@@ -225,20 +301,20 @@ class ExperimentReport:
 
 
 def simulate_experiment(
-    targets: dict[str, BlochPoint] | None = None,
+    targets: dict[str, BlochPoint | tuple[float, float]] | None = None,
     noise: NoiseSpec = DEFAULT_NOISE,
 ) -> ExperimentReport:
     """Prepare, corrupt, tomograph, purify and score each target state.
 
-    For every target Bloch point: build the ideal invariant tensor, apply the
-    noise channel, run the exact tomography round trip, purify to the dominant
-    eigenvector, score the fidelity against the ideal state, measure dihedral
-    expectations and the total fluctuation on the noisy state, and recompute
-    the vertex amplitude with the purified state at node 5 (four ideal regular
-    tensors elsewhere). A density matrix carries no global phase, so the
-    purified state is phase-aligned against the ideal target before the
-    amplitude is evaluated; in the noiseless limit the amplitudes then match
-    the theory values exactly.
+    For every target Bloch point (a ``BlochPoint`` or a (theta, phi) pair):
+    build the ideal invariant tensor, apply the noise channel, run the exact
+    tomography round trip, purify to the dominant eigenvector, score the
+    fidelity against the ideal state, measure dihedral expectations and the
+    total fluctuation on the noisy state, and recompute the vertex amplitude
+    with the purified state at node 5 (four ideal regular tensors elsewhere).
+    A density matrix carries no global phase, so the purified state is
+    phase-aligned against the ideal target before the amplitude is evaluated;
+    in the noiseless limit the amplitudes then match the theory values exactly.
     """
     # a pure target keeps a top-eigenvalue gap of exactly 1 - p through the noise
     if 1.0 - noise.depolarizing_p < PURIFY_GAP_ATOL:
@@ -252,10 +328,16 @@ def simulate_experiment(
     reports = []
     for name, point in targets.items():
         ideal = bloch_state(point)
-        rho_ideal = DensityMatrix.from_state(ideal.embedded)
+        point = ideal.point
+        rho_ideal = DensityMatrix.from_state(ideal)
         rho_noisy = apply_noise(rho_ideal, noise, rng)
         rho_measured = rho_from_expectations(pauli_expectations(rho_noisy))
-        purified = ml_purify(rho_measured)
+        try:
+            purified = ml_purify(rho_measured)
+        except DegeneracyError as exc:
+            raise DegeneracyError(f"target {name}: {exc}, with depolarizing_p = "
+                                  f"{noise.depolarizing_p} leaving 1 - p = "
+                                  f"{1.0 - noise.depolarizing_p:.3e}") from exc
         overlap = np.vdot(ideal.embedded.amplitudes, purified.amplitudes)
         if abs(overlap) > 1e-12:
             purified = StateVector(4, purified.amplitudes * (overlap.conjugate() / abs(overlap)))
@@ -263,8 +345,9 @@ def simulate_experiment(
         measured = []
         delta_measured = 0.0
         for op in interior_ops:
-            mean = np.trace(rho_measured.entries @ op).real
-            mean_sq = np.trace(rho_measured.entries @ op @ op).real
+            rho_op = rho_measured.entries @ op
+            mean = np.trace(rho_op).real
+            mean_sq = np.trace(rho_op @ op).real
             measured.append(float(mean))
             delta_measured += mean_sq - mean**2
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtetra import amplitude
+from qtetra import amplitude, named_states
 from qtetra.amplitude import (
     _EPS,
     NODES,
@@ -162,8 +162,6 @@ class TestFifthNodeAmplitude:
 
 class TestCalibration:
     def test_named_states_built_once_per_process(self, monkeypatch):
-        from qtetra import named_states
-
         built = []
 
         def counting(point):
@@ -298,6 +296,24 @@ class TestPlanBitIdentical:
             single = [vertex_amplitude(fixed + [state], graph).value for state in fifth]
             assert [bits(v) for v in batch] == [bits(v) for v in single]
             assert amplitude.fifth_node_amplitudes(fixed, [], graph) == []
+
+    def test_one_head_serves_many_batches(self):
+        rng = np.random.default_rng(127)
+        fixed = random_states(rng, 4)
+        graph = partner_rule_graph("anticyclic")
+        head = amplitude.fifth_node_head(fixed, graph)
+        assert not head.partial.flags.writeable
+        for _ in range(3):
+            fifth = random_states(rng, 2) + generic_states(rng, 2)
+            assert [bits(v) for v in amplitude.fifth_node_tail(head, fifth)] == [
+                bits(v) for v in amplitude.fifth_node_amplitudes(fixed, fifth, graph)]
+
+    def test_frozen_head_is_built_once_per_process(self):
+        head = named_states._frozen_head()
+        assert named_states._frozen_head() is head
+        state = bloch_state(BlochPoint(2.1, 4.0))
+        assert bits(named_states.fifth_node_amplitudes([state])[0]) == bits(
+            vertex_amplitude([regular_state()] * 4 + [state], cyclic_k5()).value)
 
     def test_batch_needs_four_fixed_states(self):
         with pytest.raises(ValueError, match="need exactly 4 fixed states, got 3"):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -244,6 +245,19 @@ class TestExperimentCommand:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_gap_at_the_bar_runs_or_names_the_weight(self, capsys):
+        # 1 - p = 1e-10 passes the up-front check; eigh's last bits, which
+        # depend on the CPU kernel, decide whether the measured gap does too
+        code, out, err = run_cli(capsys, "experiment", "--states", "A0",
+                                 "--depolarizing-p", "0.9999999999")
+        if code == 0:
+            assert err == "" and len(out.strip().split("\n")) == 2
+        else:
+            assert code == 1 and out == ""
+            assert re.fullmatch(r"error: target A0: dominant eigenvalue is degenerate \(gap "
+                                r"\S+ between 0\.062500 and 0\.062500\), with depolarizing_p = "
+                                r"0\.9999999999 leaving 1 - p = 1\.000e-10\n", err), err
+
     def test_depolarizing_just_within_reach_runs(self, capsys):
         code, out, err = run_cli(capsys, "experiment", "--states", "A0",
                                  "--depolarizing-p", "0.999999999")
@@ -320,6 +334,19 @@ class TestPlumbing:
         code, out, _ = run_cli(capsys, "--config", str(config))
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 6
+
+    def test_config_negative_exponent_reaches_the_noise_check(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("command = experiment\nstates = A0\nrotation_sd = -1e-05\n")
+        code, out, err = run_cli(capsys, "--config", str(config))
+        assert code == 1 and out == ""
+        assert err == "error: rotation_angle_sd must be finite and non-negative, got -1e-05\n"
+
+    def test_config_lines_become_key_value_tokens(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("command = experiment\n# noise\nrotation_sd = -inf\nseed = 3\n")
+        assert cli._argv_from_config(str(config)) == [
+            "experiment", "--rotation-sd=-inf", "--seed=3"]
 
     def test_config_with_command_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -1,11 +1,19 @@
 """Density-matrix validation, Pauli tomography, purification, fidelity."""
 
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qtetra import tomography
 from qtetra.named_states import NAMED_POINTS
-from qtetra.spin_algebra import PAULI
-from qtetra.tetrahedron import bloch_state, fluctuation
+from qtetra.spin_algebra import PAULI, StateVector
+from qtetra.tetrahedron import BlochPoint, bloch_state, dihedral_operator, fluctuation
 from qtetra.tomography import (
     DEFAULT_NOISE,
     ZERO_NOISE,
@@ -88,6 +96,20 @@ class TestDensityMatrix:
             DensityMatrix(rho)
 
 
+class TestFromState:
+    def test_invariant_tensor_equals_its_embedding(self):
+        for point in list(NAMED_POINTS.values()) + [(0.3, 1.0)]:
+            state = bloch_state(point)
+            assert (DensityMatrix.from_state(state).entries.tobytes()
+                    == DensityMatrix.from_state(state.embedded).entries.tobytes())
+
+    def test_wrong_size_state_names_16_amplitudes(self):
+        with pytest.raises(ValueError, match="expected 16 amplitudes, got 8"):
+            DensityMatrix.from_state(np.full(8, 0.5))
+        with pytest.raises(ValueError, match="expected a 4-qubit state, got 3"):
+            DensityMatrix.from_state(StateVector(3, np.full(8, 0.5)))
+
+
 class TestNoiseSpec:
     @pytest.mark.parametrize("sd", [-0.1, np.nan, np.inf])
     def test_bad_rotation_sd_named_with_its_value(self, sd):
@@ -124,6 +146,118 @@ class TestPauliTomography:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             rho_from_expectations(np.zeros(255))
+
+
+# The forms the gather and the scatter replaced: unoptimized einsum over the
+# whole (256, 16, 16) stack. Every Pauli entry is 0, +-1 or +-i, so every
+# product is exact and only the order of the sums can move a bit.
+def einsum_expectations(entries):
+    return np.einsum("ij,kji->k", entries, _pauli_matrices()).real
+
+
+def einsum_inversion(values):
+    return np.einsum("k,kij->ij", values, _pauli_matrices()) / 16
+
+
+def j_ordered_expectations(rho):
+    """Named mutant: each string's 16 terms summed in ascending row j of P, not row i of rho.
+
+    The same terms as ``pauli_expectations``; for a Hermitian rho the sum is
+    the same real number, but u rho u^dagger is Hermitian only to the last bit.
+    """
+    mats = _pauli_matrices()
+    k, j = np.indices((256, 16))
+    i = (mats != 0).argmax(axis=2)
+    terms = (rho.entries[i, j] * mats[k, j, i]).real
+    return np.cumsum(terms.T, axis=0)[-1] + 0.0
+
+
+@functools.cache
+def oracle_matrices() -> dict[str, np.ndarray]:
+    """Non-Hermitian complex, sparse with exact (signed) zeros, real-only, and noisy targets."""
+    rng = np.random.default_rng(131)
+    mats = {}
+    for n in range(150):
+        mats[f"complex {n}"] = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        sparse = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        sparse.real[rng.random((16, 16)) < 0.5] = 0.0
+        sparse.imag[rng.random((16, 16)) < 0.5] = -0.0
+        sparse[rng.random((16, 16)) < 0.3] = 0.0
+        mats[f"sparse {n}"] = sparse
+        mats[f"real {n}"] = rng.standard_normal((16, 16)) + 0j
+    mats["zeros"] = np.zeros((16, 16), dtype=complex)
+    mats["negative zeros"] = np.full((16, 16), complex(-0.0, -0.0))
+    # the noisy states that `experiment --seed 1 --states A0,C1` and `--seed 42` tomograph
+    for seed, names in ((1, ("A0", "C1")), (42, tuple(NAMED_POINTS))):
+        noise_rng = np.random.default_rng(seed)
+        for name in names:
+            ideal = DensityMatrix.from_state(bloch_state(NAMED_POINTS[name]))
+            mats[f"seed {seed} {name}"] = apply_noise(ideal, DEFAULT_NOISE, noise_rng).entries
+    return mats
+
+
+def oracle_vectors() -> list[np.ndarray]:
+    """Seeded vectors, sparse ones with +-0.0 entries, and measured expectations."""
+    rng = np.random.default_rng(137)
+    vectors = []
+    for _ in range(150):
+        vectors.append(rng.standard_normal(256))
+        sparse = rng.standard_normal(256)
+        sparse[rng.random(256) < 0.4] = 0.0
+        sparse[rng.random(256) < 0.3] = -0.0
+        vectors.append(sparse)
+        vectors.append(np.round(rng.standard_normal(256), 1))
+    vectors += [np.zeros(256), np.full(256, -0.0)]
+    vectors += [pauli_expectations(DensityMatrix._trusted(m))
+                for label, m in oracle_matrices().items() if label.startswith("seed")]
+    return vectors
+
+
+def mismatched_expectations(expectations) -> list[str]:
+    """The oracle matrices whose 256 expectations differ from einsum's in any bit."""
+    return [label for label, m in oracle_matrices().items()
+            if expectations(DensityMatrix._trusted(m)).tobytes()
+            != einsum_expectations(m).tobytes()]
+
+
+class TestGatherScatterBits:
+    """The exact-order gather and scatter keep every bit of the einsum forms."""
+
+    def test_expectations_equal_einsum(self):
+        assert mismatched_expectations(pauli_expectations) == []
+
+    def test_j_ordered_mutant_is_caught(self):
+        caught = mismatched_expectations(j_ordered_expectations)
+        assert sum(label.startswith("complex") for label in caught) == 150
+        assert "seed 1 C1" in caught
+
+    def test_inversion_equals_einsum(self, monkeypatch):
+        vectors = oracle_vectors()
+        # any vector inverts once the validation that most of them fail is off
+        monkeypatch.setattr(tomography, "DensityMatrix", DensityMatrix._trusted)
+        for values in vectors:
+            rho = rho_from_expectations(values)
+            assert rho.entries.tobytes() == einsum_inversion(values).tobytes()
+
+    def test_round_trip_of_valid_states_equals_einsum(self):
+        rng = np.random.default_rng(139)
+        for _ in range(20):
+            rho = random_density(rng)
+            values = pauli_expectations(rho)
+            assert values.tobytes() == einsum_expectations(rho.entries).tobytes()
+            rebuilt = rho_from_expectations(values)
+            assert rebuilt.entries.tobytes() == einsum_inversion(values).tobytes()
+
+    def test_tables_are_built_on_first_use(self):
+        src = str(Path(tomography.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import qtetra.tomography as t; "
+                "print(t._expectation_gather.cache_info().currsize, "
+                "t._inversion_scatter.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["0", "0"]
 
 
 class TestKronChainBytes:
@@ -258,11 +392,107 @@ class TestSimulateExperiment:
         assert [t.name for t in report.targets] == ["A0", "C1"]
         assert report.targets[1].delta_theory == pytest.approx(fluctuation(NAMED_POINTS["C1"]))
 
-    def test_report_serializes(self):
-        import json
+    def test_pair_target_equals_bloch_point_target(self):
+        noise = NoiseSpec(seed=11)
+        pair = simulate_experiment(targets={"T": (0.3, 1.0)}, noise=noise).to_dict()
+        point = simulate_experiment(targets={"T": BlochPoint(0.3, 1.0)}, noise=noise).to_dict()
+        assert json.dumps(pair) == json.dumps(point)
 
+    def test_degenerate_spectrum_names_target_and_weight(self, monkeypatch):
+        # whether the real spectrum at 1 - p = 1e-10 counts as degenerate turns
+        # on eigh's last bits, so the degeneracy is forced here
+        def degenerate(rho):
+            raise DegeneracyError("dominant eigenvalue is degenerate (gap 9.999e-11 between "
+                                  "0.062500 and 0.062500)")
+
+        monkeypatch.setattr(tomography, "ml_purify", degenerate)
+        noise = NoiseSpec(depolarizing_p=0.9999999999)
+        with pytest.raises(DegeneracyError) as caught:
+            simulate_experiment(targets={"A0": NAMED_POINTS["A0"]}, noise=noise)
+        assert str(caught.value) == (
+            "target A0: dominant eigenvalue is degenerate (gap 9.999e-11 between 0.062500 and "
+            "0.062500), with depolarizing_p = 0.9999999999 leaving 1 - p = 1.000e-10")
+
+    def test_report_serializes(self):
         report = simulate_experiment(
             targets={"B0": NAMED_POINTS["B0"]}, noise=NoiseSpec(seed=3)
         )
         payload = json.dumps(report.to_dict())
         assert "fidelity" in payload
+
+
+# The experiment's exact answer. The noise is a diagonal unitary U, from four
+# angles drawn per target in report order, then depolarizing with weight p, so
+# rho_noisy = (1 - p)|U psi><U psi| + p I/16, and the tomography round trip is
+# exact. Tolerances are absolute, a few times the largest rounding seen
+# (8.9e-16 over the ten named targets and four noise settings).
+FIDELITY_ATOL = 4e-15
+DELTA_ATOL = 4e-15
+DIHEDRAL_ATOL = 4e-15
+
+
+def closed_form_targets(noise: NoiseSpec):
+    """(fidelity, delta_measured, dihedral_measured) of each named target."""
+    rng = np.random.default_rng(noise.seed)
+    p = noise.depolarizing_p
+    # qubit 1 is the most significant bit of a basis index
+    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+    ops = [dihedral_operator(pair).entries for pair in ((1, 2), (1, 3), (1, 4))]
+    for point in NAMED_POINTS.values():
+        angles = rng.normal(0.0, noise.rotation_angle_sd, 4)
+        psi = bloch_state(point).embedded.amplitudes
+        u_psi = np.exp(1j * ((bits - 0.5) @ angles)) * psi
+        overlap = abs(np.vdot(psi, u_psi)) ** 2
+        fid = ((1 - p) * overlap + p / 16) / np.sqrt((1 - p) ** 2 + (1 - p) * p / 8 + p * p / 16)
+        means = [(1 - p) * np.vdot(u_psi, op @ u_psi).real + p * np.trace(op).real / 16
+                 for op in ops]
+        squares = [(1 - p) * np.vdot(u_psi, op @ op @ u_psi).real
+                   + p * np.trace(op @ op).real / 16 for op in ops]
+        delta = sum(sq - mean**2 for sq, mean in zip(squares, means))
+        yield fid, delta, means
+
+
+class TestExperimentClosedForm:
+    @pytest.mark.parametrize("p, sd", [(0.02, 0.04), (0.3, 0.5), (0.0, 1.0)])
+    def test_named_targets(self, p, sd):
+        noise = NoiseSpec(depolarizing_p=p, rotation_angle_sd=sd, seed=42)
+        report = simulate_experiment(noise=noise)
+        for target, (fid, delta, means) in zip(report.targets, closed_form_targets(noise)):
+            assert abs(target.fidelity - fid) <= FIDELITY_ATOL, target.name
+            assert abs(target.delta_measured - delta) <= DELTA_ATOL, target.name
+            assert np.abs(np.subtract(target.dihedral_measured, means)).max() <= DIHEDRAL_ATOL
+
+    def test_noise_moves_the_answer(self):
+        # the oracle is not trivially met: noise changes every field by far more
+        clean = list(closed_form_targets(ZERO_NOISE))
+        noisy = list(closed_form_targets(NoiseSpec(depolarizing_p=0.3, rotation_angle_sd=0.5)))
+        assert min(abs(a[0] - b[0]) for a, b in zip(clean, noisy)) > 100 * FIDELITY_ATOL
+
+
+# Generator.normal's stream for a few seeds and spreads, as float.hex. NEP 19
+# lets numpy change a distribution method between feature releases; the
+# experiment goldens would then move with it.
+NORMAL_STREAM = {
+    (0, 0.04): ("0x1.49981f82338a5p-8", "-0x1.5a4e12b2fb580p-8",
+                "0x1.a3b5176488fe8p-6", "0x1.12fd46e697e0ap-8"),
+    (0, 1.0): ("0x1.017ed89db8441p-3", "-0x1.0e8cfe9bd45ccp-3",
+               "0x1.47e57a468b06dp-1", "0x1.adabbec84d4f0p-4"),
+    (42, 0.04): ("0x1.8f6615d7705a8p-7", "-0x1.54c8309f917acp-5",
+                 "0x1.ebd0d16ead10ap-6", "0x1.3434497bbd689p-5"),
+    (42, 1.0): ("0x1.3807c1104fc6bp-2", "-0x1.0a3c65fca9a7ep+0",
+                "0x1.803b239e77350p-1", "0x1.e191b2d157f36p-1"),
+    (2**63, 0.04): ("0x1.0af71d051a15ep-4", "-0x1.ee0021fd8f2c5p-5",
+                    "-0x1.01539579560d6p-3", "0x1.20a356eb39a2ap-7"),
+    (2**63, 1.0): ("0x1.a1221d57f8c23p+0", "-0x1.81f01a8e17daap+0",
+                   "-0x1.9212998d9674fp+1", "0x1.c2ff37cf8a0e2p-3"),
+}
+
+
+@pytest.mark.parametrize("seed, sd", list(NORMAL_STREAM))
+def test_noise_stream_canary(seed, sd):
+    drawn = np.random.default_rng(seed).normal(0.0, sd, 4)
+    pinned = np.array([float.fromhex(h) for h in NORMAL_STREAM[seed, sd]])
+    assert drawn.tobytes() == pinned.tobytes(), (
+        f"numpy {np.__version__} draws a different Generator.normal stream for seed {seed}, "
+        f"sd {sd}: the experiment outputs move with it and need a named re-pin"
+    )
