@@ -23,14 +23,15 @@ first endpoint). ``partner_rule_graph`` names four slot assignments, among them:
 Each graph compiles its sequential contraction into a fixed plan once, when
 it is built: per link, the nodes the link places, the transpose that moves
 the contracted qubit pair last, and the row count of the matrix that meets
-the singlet. ``vertex_amplitude`` runs that plan. ``fifth_node_head`` runs
-the steps before node 5 is first placed, and ``fifth_node_tail`` the rest
-for each of a batch of fifth-node states, so one head can serve many
-batches. The plan performs the float operations of a ``np.multiply.outer``
-then ``np.tensordot`` per link, on the same operands in the same order, and
-numpy rounds each complex product the same whatever the memory layout, so
-its amplitudes are bit-identical to that form; the tests keep that form as
-their reference.
+the singlet; and ``split``, the first step that places node 5.
+``fifth_node_head`` runs the steps before ``split``, and ``fifth_node_tail``
+the rest for each of a batch of fifth-node states, so one head serves many
+batches; no other code runs a plan, and ``vertex_amplitude`` is a batch of
+one. The plan performs the float operations of a ``np.multiply.outer`` then
+``np.tensordot`` per link, on the same operands in the same order, and numpy
+rounds each complex product the same whatever the memory layout, so its
+amplitudes are bit-identical to that form; the tests keep that form as their
+reference.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .tetrahedron import _as_amplitudes, bloch_coefficients, logical_basis
+from .tetrahedron import _as_amplitudes, logical_basis
 
 NODES = (1, 2, 3, 4, 5)
 SLOTS = (1, 2, 3, 4)
@@ -53,9 +54,8 @@ Link = tuple[Endpoint, Endpoint]
 _SINGLET = np.zeros(4)
 _SINGLET[0b01] = 1.0 / math.sqrt(2)
 _SINGLET[0b10] = -1.0 / math.sqrt(2)
-_EPS = _SINGLET.reshape(2, 2).copy()
 # np.dot would cast the float singlet to complex on every call; casting once is exact.
-_EPS_COLUMN = _EPS.reshape(4, 1).astype(complex)
+_EPS_COLUMN = _SINGLET.reshape(4, 1).astype(complex)
 _ONE = np.array(1.0, dtype=complex)
 _ONE.setflags(write=False)
 # 2^6 rows of a fused product, 32 complex entries each: 32 KB, which stays in
@@ -154,6 +154,7 @@ class SpinNetworkGraph:
 
     links: tuple[Link, ...]
     plan: tuple[_Step, ...] = field(init=False, repr=False, compare=False)
+    split: int = field(init=False, repr=False, compare=False)  # first plan step placing node 5
 
     def __post_init__(self):
         links = tuple((tuple(a), tuple(b)) for a, b in self.links)
@@ -167,7 +168,10 @@ class SpinNetworkGraph:
         pairs = {frozenset((a[0], b[0])) for a, b in links}
         if len(pairs) != 10 or any(len(p) != 2 for p in pairs):
             raise ValueError("links must cover all ten unordered node pairs")
-        object.__setattr__(self, "plan", _contraction_plan(links))
+        plan = _contraction_plan(links)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "split", next(
+            i for i, step in enumerate(plan) if 4 in (step.fused, *step.outer)))
 
     def with_link_swapped(self, index: int) -> "SpinNetworkGraph":
         """Copy of the graph with one link's endpoint qubits exchanged."""
@@ -230,25 +234,6 @@ def cyclic_k5() -> SpinNetworkGraph:
     return partner_rule_graph("cyclic")
 
 
-def _node_tensors(states) -> list[np.ndarray]:
-    if len(states) != 5:
-        raise ValueError(f"need exactly 5 node states, got {len(states)}")
-    return [_as_amplitudes(s).reshape(2, 2, 2, 2) for s in states]
-
-
-def vertex_amplitude(states, graph: SpinNetworkGraph) -> AmplitudeResult:
-    """Contract the network link by link, materializing nodes on first touch.
-
-    Runs ``graph.plan``: links in their stored order, each node's tensor
-    multiplied onto the open indices when a link first touches it, and each
-    link's qubit pair contracted with one ``np.dot`` against the singlet.
-    Those are the float operations of ``np.multiply.outer`` and
-    ``np.tensordot`` per link on the same values, so the bits cannot move;
-    only the transposed copy of each product is never made.
-    """
-    return AmplitudeResult(complex(_run_plan(_ONE, _node_tensors(states), graph.plan)[0, 0]))
-
-
 class FifthNodeHead(NamedTuple):
     """Nodes 1-4 of a graph, contracted up to the plan step that first places node 5."""
 
@@ -262,10 +247,9 @@ def fifth_node_head(fixed, graph: SpinNetworkGraph) -> FifthNodeHead:
     if len(fixed) != 4:
         raise ValueError(f"need exactly 4 fixed states, got {len(fixed)}")
     tensors = tuple(_as_amplitudes(s).reshape(2, 2, 2, 2) for s in fixed)
-    split = next(i for i, step in enumerate(graph.plan) if 4 in (step.fused, *step.outer))
-    partial = _run_plan(_ONE, tensors, graph.plan[:split])
+    partial = _run_plan(_ONE, tensors, graph.plan[:graph.split])
     partial.setflags(write=False)
-    return FifthNodeHead(partial, tensors, graph.plan[split:])
+    return FifthNodeHead(partial, tensors, graph.plan[graph.split:])
 
 
 def fifth_node_tail(head: FifthNodeHead, states) -> list[complex]:
@@ -280,10 +264,20 @@ def fifth_node_tail(head: FifthNodeHead, states) -> list[complex]:
 def fifth_node_amplitudes(fixed, states, graph: SpinNetworkGraph) -> list[complex]:
     """Vertex amplitudes of ``fixed`` (nodes 1-4) with each of ``states`` at node 5.
 
-    The head runs once for the batch and the tail once per state; each
-    amplitude is bit-identical to ``vertex_amplitude(fixed + [state], graph)``.
+    The head runs once for the batch and the tail once per state.
     """
     return fifth_node_tail(fifth_node_head(fixed, graph), states)
+
+
+def _check_five(states) -> None:
+    if len(states) != 5:
+        raise ValueError(f"need exactly 5 node states, got {len(states)}")
+
+
+def vertex_amplitude(states, graph: SpinNetworkGraph) -> AmplitudeResult:
+    """The amplitude of five node states: a batch of one in ``fifth_node_amplitudes``."""
+    _check_five(states)
+    return AmplitudeResult(fifth_node_amplitudes(states[:4], states[4:], graph)[0])
 
 
 def vertex_amplitude_bruteforce(states, graph: SpinNetworkGraph) -> AmplitudeResult:
@@ -293,7 +287,7 @@ def vertex_amplitude_bruteforce(states, graph: SpinNetworkGraph) -> AmplitudeRes
     qubit (n, s) at global position 4*(n-1) + s) and applies the ten singlet
     bras one after the other.
     """
-    _node_tensors(states)  # validation only
+    _check_five(states)
     full = np.array([1.0 + 0.0j])
     for state in states:
         full = np.kron(full, _as_amplitudes(state))
@@ -315,11 +309,10 @@ def basis_amplitude_table(graph: SpinNetworkGraph) -> np.ndarray:
     each node; any amplitude of invariant tensors is the multilinear
     contraction of this table with the five (alpha, beta) coefficient pairs.
     """
-    zero_l, one_l = logical_basis()
-    basis = (zero_l.amplitudes, one_l.amplitudes)
+    basis = logical_basis()
     table = np.empty((2,) * 5, dtype=complex)
-    for index in np.ndindex(*table.shape):
-        table[index] = vertex_amplitude([basis[b] for b in index], graph).value
+    for index in np.ndindex(*table.shape[:4]):
+        table[index] = fifth_node_amplitudes([basis[b] for b in index], basis, graph)
     return table
 
 
@@ -354,7 +347,3 @@ def amplitude_sweep(fixed, theta_grid, phi_grid, graph: SpinNetworkGraph) -> np.
     beta = np.sin(thetas / 2)[:, None] * np.exp(1j * phis)[None, :]
     return alpha * h0 + beta * h1
 
-
-def node_coefficient_pairs(points) -> list[np.ndarray]:
-    """Logical (alpha, beta) pairs for a sequence of Bloch points."""
-    return [bloch_coefficients(p) for p in points]

@@ -426,6 +426,8 @@ def _argv_from_config(path: str) -> list[str]:
                 raise ValueError(f"bad config line (expected key = value): {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "command":
+                if command is not None:
+                    raise ValueError("config key 'command' is set more than once")
                 command = value
             else:
                 # one --key=value token, so argparse never reads a value such
@@ -438,6 +440,16 @@ def _argv_from_config(path: str) -> list[str]:
     return [command] + argv
 
 
+def _check_config_keys(args: argparse.Namespace, argv: list[str]) -> None:
+    """Refuse a key that only abbreviates a flag, or repeats a flag that keeps one value."""
+    keys = [token[2:].partition("=")[0].replace("-", "_") for token in argv[1:]]
+    for key in keys:
+        if key not in vars(args):
+            raise ValueError(f"unknown config key {key!r}")
+        if keys.count(key) > 1 and not isinstance(getattr(args, key), list):
+            raise ValueError(f"config key {key!r} is set more than once")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -445,7 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             if args.command is not None:
                 raise ValueError("--config supplies the command; do not also give one")
-            args = parser.parse_args(_argv_from_config(args.config))
+            config_argv = _argv_from_config(args.config)
+            args = parser.parse_args(config_argv)
+            _check_config_keys(args, config_argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             print("error: no command given", file=sys.stderr)

@@ -102,24 +102,6 @@ class TetrahedronVertices:
         return abs(np.linalg.det(np.stack([self.B, self.C, self.D]))) / 6.0
 
 
-@dataclass(frozen=True, eq=False)
-class AreaVectorSet:
-    """Outward area vectors of the four faces, in face-label order."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.vectors, dtype=float)
-        if arr.shape != (4, 3):
-            raise ValueError(f"expected four 3-vectors, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "vectors", arr)
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(self.vectors, axis=1)
-
-
 # (corner, corner, corner, opposite vertex) index rows for faces 1..4
 _FACES = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 1, 3, 2), (1, 2, 3, 0))
 
@@ -149,13 +131,15 @@ def _area_vectors_from_points(points) -> list[tuple[float, float, float]]:
     return out
 
 
-def areas_from_vertices(tetra: TetrahedronVertices) -> AreaVectorSet:
-    """Outward area vectors of a vertex-built tetrahedron."""
+def areas_from_vertices(tetra: TetrahedronVertices) -> np.ndarray:
+    """Outward area vectors of a vertex-built tetrahedron, one read-only row per face."""
     points = tetra.vertices
     scale = max(np.abs(points).max(), 1.0)
     if tetra.volume() < 1e-10 * scale**3:
         raise ValueError("vertices are coplanar (zero volume)")
-    return AreaVectorSet(_area_vectors_from_points(points.tolist()))
+    areas = np.array(_area_vectors_from_points(points.tolist()))
+    areas.setflags(write=False)
+    return areas
 
 
 def _residuals(x: np.ndarray, areas: np.ndarray, c12: float, c13: float) -> np.ndarray:

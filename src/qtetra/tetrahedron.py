@@ -26,6 +26,9 @@ import numpy as np
 
 from .spin_algebra import AXES, DenseOperator, StateVector, _state_amplitudes, angular_momentum
 
+# The three independent dihedral angles; closure fixes the other three.
+INDEPENDENT_PAIRS = ((1, 2), (1, 3), (1, 4))
+
 # Closure makes opposite pairs interchangeable: (3,4)~(1,2), (2,4)~(1,3), (2,3)~(1,4).
 PAIR_CLASS = {
     (1, 2): (1, 2), (3, 4): (1, 2),
@@ -145,26 +148,23 @@ def _dihedral_operator(k: int, m: int) -> DenseOperator:
     return DenseOperator(4, -(4.0 / 3.0) * dot)
 
 
-def dihedral_expectation(point, pair) -> float:
-    """Closed-form interior <cos theta_km> in the state at the given Bloch point.
+def independent_dihedral_expectations(point) -> tuple[float, float, float]:
+    """Closed-form interior (<cos12>, <cos13>, <cos14>) in the state at a Bloch point.
 
         <cos12> = cos^2(theta/2) - (1/3) sin^2(theta/2)
         <cos13> = (2/3) sin^2(theta/2) + (2*sqrt(3)/3) cos(theta/2) sin(theta/2) cos(phi)
         <cos14> = same as <cos13> with cos(phi) negated
-    with opposite pairs equal by closure.
     """
     p = _as_point(point)
-    cls = PAIR_CLASS[tuple(sorted(_face_pair(pair)))]
     c, s = math.cos(p.theta / 2), math.sin(p.theta / 2)
-    if cls == (1, 2):
-        return c * c - s * s / 3
     cross = (2 * math.sqrt(3) / 3) * c * s * math.cos(p.phi)
-    return (2 / 3) * s * s + (cross if cls == (1, 3) else -cross)
+    return c * c - s * s / 3, (2 / 3) * s * s + cross, (2 / 3) * s * s - cross
 
 
-def independent_dihedral_expectations(point) -> tuple[float, float, float]:
-    """Interior (<cos12>, <cos13>, <cos14>) at a Bloch point."""
-    return tuple(dihedral_expectation(point, pair) for pair in ((1, 2), (1, 3), (1, 4)))
+def dihedral_expectation(point, pair) -> float:
+    """Interior <cos theta_km> at a Bloch point; opposite pairs are equal by closure."""
+    values = independent_dihedral_expectations(point)
+    return values[INDEPENDENT_PAIRS.index(PAIR_CLASS[tuple(sorted(_face_pair(pair)))])]
 
 
 def fluctuation(point) -> float:
@@ -183,7 +183,7 @@ def fluctuation_from_operators(point) -> float:
     """Delta recomputed as sum_km (<O_km^2> - <O_km>^2) with dense operators."""
     psi = bloch_state(point).embedded.amplitudes
     total = 0.0
-    for pair in ((1, 2), (1, 3), (1, 4)):
+    for pair in INDEPENDENT_PAIRS:
         op = dihedral_operator(pair).entries
         mean = np.vdot(psi, op @ psi).real
         mean_sq = np.vdot(psi, op @ (op @ psi)).real

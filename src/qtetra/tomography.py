@@ -28,6 +28,7 @@ import numpy as np
 from . import named_states
 from .spin_algebra import HERMITIAN_ATOL, PAULI, StateVector, _tensor_products
 from .tetrahedron import (
+    INDEPENDENT_PAIRS,
     BlochPoint,
     _as_amplitudes,
     bloch_state,
@@ -324,7 +325,7 @@ def simulate_experiment(
     if targets is None:
         targets = named_states.NAMED_POINTS
     rng = np.random.default_rng(noise.seed)
-    interior_ops = [dihedral_operator(pair).entries for pair in ((1, 2), (1, 3), (1, 4))]
+    interior_ops = [dihedral_operator(pair).entries for pair in INDEPENDENT_PAIRS]
     reports = []
     for name, point in targets.items():
         ideal = bloch_state(point)

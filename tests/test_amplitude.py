@@ -7,24 +7,28 @@ import pytest
 
 from qtetra import amplitude, named_states
 from qtetra.amplitude import (
-    _EPS,
+    _SINGLET,
     NODES,
     SLOTS,
     SpinNetworkGraph,
-    _node_tensors,
     amplitude_from_table,
     amplitude_sweep,
     basis_amplitude_table,
     cyclic_k5,
     k5_graph,
-    node_coefficient_pairs,
     partner_rule_graph,
     vertex_amplitude,
     vertex_amplitude_bruteforce,
 )
 from qtetra.named_states import NAMED_POINTS, fifth_node_amplitudes, regular_state
 from qtetra.spin_algebra import StateVector, closure_defect
-from qtetra.tetrahedron import BlochPoint, bloch_state, logical_basis
+from qtetra.tetrahedron import (
+    BlochPoint,
+    _as_amplitudes,
+    bloch_coefficients,
+    bloch_state,
+    logical_basis,
+)
 from qtetra.tomography import DEFAULT_NOISE, DensityMatrix, apply_noise, ml_purify
 
 
@@ -125,7 +129,7 @@ class TestVertexAmplitude:
             states = [bloch_state(p) for p in points]
             seq = vertex_amplitude(states, graph).value
             brute = vertex_amplitude_bruteforce(states, graph).value
-            multi = amplitude_from_table(table, node_coefficient_pairs(points))
+            multi = amplitude_from_table(table, [bloch_coefficients(x) for x in points])
             assert abs(seq - brute) < 1e-10
             assert abs(seq - multi) < 1e-10
 
@@ -187,7 +191,7 @@ class TestCalibration:
 # np.multiply.outer per placed node and one np.tensordot per link. The plan in
 # ``qtetra.amplitude`` must match it bit for bit.
 def _tensordot_vertex_amplitude(states, graph: SpinNetworkGraph) -> complex:
-    tensors = _node_tensors(states)
+    tensors = [_as_amplitudes(x).reshape(2, 2, 2, 2) for x in states]
     current = np.array(1.0, dtype=complex)
     open_axes = []
     placed = set()
@@ -199,7 +203,7 @@ def _tensordot_vertex_amplitude(states, graph: SpinNetworkGraph) -> complex:
                 placed.add(node)
         i = open_axes.index((n, s))
         j = open_axes.index((m, t))
-        current = np.tensordot(current, _EPS, axes=([i, j], [0, 1]))
+        current = np.tensordot(current, _SINGLET.reshape(2, 2), axes=([i, j], [0, 1]))
         open_axes = [ax for idx, ax in enumerate(open_axes) if idx not in (i, j)]
     return complex(current)
 
@@ -253,6 +257,15 @@ class TestPlanBitIdentical:
                 assert_plan_bits(regular + [state], graph)
             assert_batch_bits(regular, named, graph)
 
+    @pytest.mark.parametrize("rule", ["increasing", "decreasing", "cyclic", "anticyclic"])
+    def test_basis_table(self, rule):
+        graph = partner_rule_graph(rule)
+        basis = logical_basis()
+        table = basis_amplitude_table(graph)
+        for index in np.ndindex(*(2,) * 5):
+            assert bits(table[index]) == bits(
+                _tensordot_vertex_amplitude([basis[b] for b in index], graph))
+
     def test_shuffled_and_reoriented_link_orders(self):
         rng = np.random.default_rng(103)
         rules = ["increasing", "decreasing", "cyclic", "anticyclic"]
@@ -270,6 +283,7 @@ class TestPlanBitIdentical:
         first = next(i for i, (a, b) in enumerate(links) if b[0] == 5)
         graph = SpinNetworkGraph(tuple([links[first]] + links[:first] + links[first + 1:]))
         assert graph.plan[0].fused == 4  # node 5 is placed by the very first step
+        assert graph.split == 0
         rng = np.random.default_rng(107)
         fixed = [regular_state()] * 4
         fifth = purified_noisy_states(rng)

@@ -348,6 +348,33 @@ class TestPlumbing:
         assert cli._argv_from_config(str(config)) == [
             "experiment", "--rotation-sd=-inf", "--seed=3"]
 
+    def test_config_key_abbreviating_a_flag_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("command = tetra\nstate = A0\n")
+        code, out, err = run_cli(capsys, "--config", str(config))
+        assert code == 1 and out == ""
+        assert err == "error: unknown config key 'state'\n"
+
+    @pytest.mark.parametrize("lines", [
+        "command = tetra\nstates = A0\nstates = B0\n",
+        "command = tetra\ncommand = fluct\nstates = A0\n",
+    ])
+    def test_config_key_repeated_with_one_value_rejected(self, lines, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(lines)
+        code, out, err = run_cli(capsys, "--config", str(config))
+        key = lines.split("\n")[1].split()[0]
+        assert code == 1 and out == ""
+        assert err == f"error: config key {key!r} is set more than once\n"
+
+    def test_config_appending_keys_may_repeat(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("command = fluct\ntheta = 0.5\nphi = 1.0\ntheta = 1.5\nphi = 2.0\n")
+        code, out, _ = run_cli(capsys, "--config", str(config))
+        expected = run_cli(capsys, "fluct", "--theta", "0.5", "--phi", "1.0",
+                           "--theta", "1.5", "--phi", "2.0")
+        assert code == 0 and (code, out) == expected[:2]
+
     def test_config_with_command_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("command = table2\n")

@@ -56,28 +56,33 @@ class TestClosure:
         rng = np.random.default_rng(3)
         for _ in range(20):
             areas = areas_from_vertices(random_tetrahedron(rng))
-            assert np.linalg.norm(areas.vectors.sum(axis=0)) < 1e-12
+            assert np.linalg.norm(areas.sum(axis=0)) < 1e-12
 
     def test_regular_closes(self):
         areas = areas_from_vertices(regular_tetrahedron())
-        assert np.linalg.norm(areas.vectors.sum(axis=0)) < 1e-12
+        assert np.linalg.norm(areas.sum(axis=0)) < 1e-12
 
 
 class TestAreasFromVertices:
     def test_regular_magnitudes_and_angles(self):
         areas = areas_from_vertices(regular_tetrahedron())
-        mags = areas.magnitudes
+        mags = np.linalg.norm(areas, axis=1)
         assert np.allclose(mags, math.sqrt(3) / 4, atol=1e-12)
-        normals = areas.vectors / mags[:, None]
+        normals = areas / mags[:, None]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert normals[i] @ normals[j] == pytest.approx(-1 / 3, abs=1e-12)
+
+    def test_returns_read_only_rows(self):
+        areas = areas_from_vertices(regular_tetrahedron())
+        assert areas.shape == (4, 3)
+        assert not areas.flags.writeable
 
     def test_corner_tetrahedron_face_bcd(self):
         tetra = TetrahedronVertices(a=1.0, b=0.0, c=1.0, d=0.0, e=0.0, f=1.0)
         areas = areas_from_vertices(tetra)
         # face 4 = BCD of the unit corner tetrahedron has area sqrt(3)/2
-        assert areas.magnitudes[3] == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+        assert np.linalg.norm(areas, axis=1)[3] == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
     def test_outward_orientation(self):
         tetra = regular_tetrahedron()
@@ -89,7 +94,7 @@ class TestAreasFromVertices:
             (tetra.A + tetra.B + tetra.D) / 3,
             (tetra.B + tetra.C + tetra.D) / 3,
         ]
-        for vec, fc in zip(areas.vectors, face_centroids):
+        for vec, fc in zip(areas, face_centroids):
             assert vec @ (fc - centroid) > 0
 
     def test_coplanar_rejected(self):
@@ -114,8 +119,8 @@ class TestAreasFromVertices:
 def measured_inputs(tetra: TetrahedronVertices):
     """Areas plus interior cosines for the (1,2) and (1,3) face pairs."""
     areas = areas_from_vertices(tetra)
-    mags = areas.magnitudes
-    normals = areas.vectors / mags[:, None]
+    mags = np.linalg.norm(areas, axis=1)
+    normals = areas / mags[:, None]
     cos12 = -(normals[0] @ normals[1])
     cos13 = -(normals[0] @ normals[2])
     return mags, cos12, cos13
@@ -214,7 +219,7 @@ class TestExpectationsToGeometry:
         edges = tetra.edge_lengths()
         assert (edges.max() - edges.min()) < 1e-8
         areas = areas_from_vertices(tetra)
-        assert np.abs(areas.magnitudes - math.sqrt(0.75)).max() < 1e-8
+        assert np.abs(np.linalg.norm(areas, axis=1) - math.sqrt(0.75)).max() < 1e-8
 
     def test_north_pole_is_degenerate(self):
         # <cos12> = 1 there: faces 1 and 2 would have to be coplanar
@@ -252,6 +257,29 @@ def fresh_python(code: str) -> str:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
+
+
+class TestImportSurface:
+    """The package root is a docstring and a version; the CLI loads the package's eight modules."""
+
+    def test_root_import_loads_no_submodule_and_no_numpy(self):
+        out = fresh_python(
+            "import sys, qtetra\n"
+            "print(sorted(n for n in vars(qtetra) if not n.startswith('__')),\n"
+            "      sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'\n"
+            "             or m.startswith('qtetra.')))"
+        )
+        assert out == "[] []\n"
+
+    def test_cli_import_loads_eight_modules_and_no_scipy(self):
+        out = fresh_python(
+            "import sys, qtetra.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('qtetra', 'scipy')))"
+        )
+        modules = ["qtetra"] + [f"qtetra.{m}" for m in (
+            "amplitude", "cli", "geometry", "named_states", "spin_algebra", "tetrahedron",
+            "tomography")]
+        assert out == f"{modules}\n"
 
 
 class TestLazySolverImport:
@@ -430,5 +458,5 @@ class TestScalarResidualsBitIdentical:
         for _ in range(200):
             tetra = random_tetrahedron(rng)
             assert_same_bits(
-                areas_from_vertices(tetra).vectors, _area_vectors_from_points(tetra.vertices)
+                areas_from_vertices(tetra), _area_vectors_from_points(tetra.vertices)
             )
