@@ -21,17 +21,20 @@ first endpoint). ``partner_rule_graph`` names four slot assignments, among them:
   this convention.
 
 Each graph compiles its sequential contraction into a fixed plan once, when
-it is built: per link, the nodes the link places, the transpose that moves
-the contracted qubit pair last, and the row count of the matrix that meets
-the singlet; and ``split``, the first step that places node 5.
+it is built: per link, the nodes it places and the slices that meet the
+singlet's two nonzero entries; and ``split``, the first step that places node 5.
 ``fifth_node_head`` runs the steps before ``split``, and ``fifth_node_tail``
 the rest for each of a batch of fifth-node states, so one head serves many
 batches; no other code runs a plan, and ``vertex_amplitude`` is a batch of
-one. The plan performs the float operations of a ``np.multiply.outer`` then
-``np.tensordot`` per link, on the same operands in the same order, and numpy
-rounds each complex product the same whatever the memory layout, so its
-amplitudes are bit-identical to that form; the tests keep that form as their
-reference.
+one. Each link writes ``p01 * s01 + p10 * s10`` from the contracted pair's
+(0, 1) and (1, 0) slices and never forms the products of the two zero entries.
+That is bit-identical to the tests' reference, a ``np.multiply.outer`` per
+placed node then a ``np.tensordot`` per link, where BLAS rounds each product
+once and then their sum (checked on several x86-64 OpenBLAS kernels). Two
+kinds of link keep ``np.dot``, as BLAS takes other kernels there: the last,
+whose (1, 4) row it contracts as a dot product, and one that places no node
+and contracts the first two open axes, which ``np.tensordot``'s transposed
+reshape hands to BLAS as an F-ordered matrix.
 """
 
 from __future__ import annotations
@@ -54,13 +57,11 @@ Link = tuple[Endpoint, Endpoint]
 _SINGLET = np.zeros(4)
 _SINGLET[0b01] = 1.0 / math.sqrt(2)
 _SINGLET[0b10] = -1.0 / math.sqrt(2)
-# np.dot would cast the float singlet to complex on every call; casting once is exact.
+# What every link reads: np.dot's column, whose rows 0b01 and 0b10 are the
+# split form's coefficients. Casting the float singlet to complex is exact.
 _EPS_COLUMN = _SINGLET.reshape(4, 1).astype(complex)
 _ONE = np.array(1.0, dtype=complex)
 _ONE.setflags(write=False)
-# 2^6 rows of a fused product, 32 complex entries each: 32 KB, which stays in
-# a typical L1 data cache while every entry of the tile is written.
-_TILE_AXES = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,16 +79,29 @@ class _Step(NamedTuple):
     """One link of a contraction plan; node indices are 0-based."""
 
     outer: tuple[int, ...]  # nodes placed by a plain outer product first
-    fused: int | None  # node whose product is written straight in contracted layout
-    current_shape: tuple[int, ...]  # open axes, then four unit axes if ``fused``
-    node_shape: tuple[int, ...]  # unit axes for the open axes, then the fused node's four
-    order: tuple[int, ...]  # transpose moving the contracted pair last
-    rows: int
-    loop: tuple[int, ...]  # fused product's iteration order over the contracted layout
+    fused: int | None  # node placed by this link's two half-size products
+    at01: tuple  # index of the partial contraction's slice meeting singlet entry (0, 1)
+    at10: tuple  # ... and entry (1, 0)
+    node01: tuple | None  # index of the fused node's slice meeting entry (0, 1)
+    node10: tuple | None  # ... and entry (1, 0)
+    order: tuple[int, ...] | None  # np.dot links only: transpose moving the contracted pair last
+
+
+def _fix(bits: dict[int, int]) -> tuple:
+    """Basic index fixing each ``axis: bit`` of ``bits`` and keeping every other axis."""
+    index: list = [slice(None)] * (max(bits) + 1)
+    for axis, bit in bits.items():
+        index[axis] = bit
+    return tuple(index)
 
 
 def _contraction_plan(links: tuple[Link, ...]) -> tuple[_Step, ...]:
-    """Per link, the steps that ``np.multiply.outer`` and ``np.tensordot`` would take."""
+    """Per link, the slices that meet the singlet's two nonzero entries.
+
+    A placing link's slices are outer products: the partial contraction with
+    its contracted axis fixed, and the node with its slot fixed. ``order`` is
+    set only at the links that keep ``np.dot`` (see the module docstring).
+    """
     steps = []
     open_axes: list[Endpoint] = []
     placed: set[int] = set()
@@ -96,55 +110,55 @@ def _contraction_plan(links: tuple[Link, ...]) -> tuple[_Step, ...]:
         placed.update(new)
         for node in new[:-1]:
             open_axes.extend((node, slot) for slot in SLOTS)
-        k = len(open_axes)
-        current_shape, node_shape = (2,) * k, ()
-        if new:
-            current_shape += (1,) * 4
-            node_shape = (1,) * k + (2,) * 4
-            open_axes.extend((new[-1], slot) for slot in SLOTS)
-        i, j = open_axes.index((n, s)), open_axes.index((m, t))
-        kept = [a for a in range(len(open_axes)) if a not in (i, j)]
-        order = tuple(kept) + (i, j)
-        # A fused product is written tile by tile: the innermost loop runs over
-        # the last _TILE_AXES kept axes of ``current`` with the node factor
-        # fixed, and every column of a tile's rows is written before the next.
-        row_axes = [p for p in range(len(kept)) if order[p] < k]
-        tile = row_axes[-_TILE_AXES:]
-        loop = [p for p in range(len(order)) if p not in tile]
-        steps.append(_Step(
-            outer=tuple(node - 1 for node in new[:-1]),
-            fused=new[-1] - 1 if new else None,
-            current_shape=current_shape,
-            node_shape=node_shape,
-            order=order,
-            rows=2 ** len(kept),
-            loop=tuple(loop) + tuple(tile) if new else (),
-        ))
-        open_axes = [open_axes[a] for a in kept]
+        fused = new[-1] if new else None
+        node01 = node10 = order = None
+        if fused is None:
+            i, j = open_axes.index((n, s)), open_axes.index((m, t))
+            at01, at10 = _fix({i: 0, j: 1}), _fix({i: 1, j: 0})
+            kept = [a for a in range(len(open_axes)) if a not in (i, j)]
+            if not kept or (i, j) == (0, 1):
+                order = tuple(kept) + (i, j)
+            open_axes = [open_axes[a] for a in kept]
+        else:
+            # entry (0, 1) fixes bit x of the partial contraction's endpoint and
+            # bit 1 - x of the node's, where x = 1 when the node's endpoint is first
+            other, slot = ((n, s), t) if fused == m else ((m, t), s)
+            c, x = open_axes.index(other), int(fused == n)
+            at01, at10 = _fix({c: x}), _fix({c: 1 - x})
+            node01, node10 = _fix({slot - 1: 1 - x}), _fix({slot - 1: x})
+            open_axes = [a for a in open_axes if a != other]
+            open_axes.extend((fused, q) for q in SLOTS if q != slot)
+        steps.append(_Step(tuple(node - 1 for node in new[:-1]),
+                           None if fused is None else fused - 1,
+                           at01, at10, node01, node10, order))
     return tuple(steps)
 
 
 def _run_plan(current: np.ndarray, tensors, steps) -> np.ndarray:
     """Run plan steps from the partial contraction ``current``.
 
-    A fused step writes the outer product of ``current`` and the new node
-    straight into ``np.tensordot``'s transposed layout. Its factors keep the
-    outer product's argument order: numpy's vectorized complex multiply uses
-    fused multiply-adds that treat them differently, so ``x * y`` and
-    ``y * x`` can differ in the last bit.
+    The partial contraction stays the first factor of a placing link's outer
+    products: numpy's vectorized complex multiply uses fused multiply-adds
+    that treat its factors differently, so ``x * y`` and ``y * x`` can differ
+    in the last bit.
     """
+    s01, s10 = _EPS_COLUMN[0b01, 0], _EPS_COLUMN[0b10, 0]
     for step in steps:
         for node in step.outer:
             current = np.multiply.outer(current, tensors[node])
-        view = current.reshape(step.current_shape).transpose(step.order)
-        if step.fused is not None:
-            factor = tensors[step.fused].reshape(step.node_shape).transpose(step.order)
-            loop = step.loop
-            product = np.empty((2,) * len(loop), dtype=complex)
-            np.multiply(view.transpose(loop), factor.transpose(loop),
-                        out=product.transpose(loop), order="C")
-            view = product
-        current = np.dot(view.reshape(step.rows, 4), _EPS_COLUMN)
+        if step.order is not None:
+            view = current.transpose(step.order)
+            current = np.dot(view.reshape(-1, 4), _EPS_COLUMN).reshape(view.shape[:-2])
+            continue
+        if step.fused is None:
+            p01, p10 = current[step.at01] * s01, current[step.at10] * s10
+        else:
+            node = tensors[step.fused]
+            p01 = np.multiply.outer(current[step.at01], node[step.node01])
+            p10 = np.multiply.outer(current[step.at10], node[step.node10])
+            p01 *= s01
+            p10 *= s10
+        current = np.add(p01, p10, out=p01)
     return current
 
 
@@ -257,7 +271,7 @@ def fifth_node_tail(head: FifthNodeHead, states) -> list[complex]:
     values = []
     for state in states:
         tensors = (*head.tensors, _as_amplitudes(state).reshape(2, 2, 2, 2))
-        values.append(complex(_run_plan(head.partial, tensors, head.steps)[0, 0]))
+        values.append(complex(_run_plan(head.partial, tensors, head.steps)))
     return values
 
 

@@ -20,23 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _keep_temporaries_on_the_heap() -> None:
-    """Free one 2 MB block, so glibc keeps later blocks up to that size on its heap.
-
-    glibc serves a block above its mmap threshold (128 KB at start) by a fresh
-    mapping and returns free heap above twice that to the kernel. The
-    contraction's and the tomography's 0.1-1 MB temporaries would then be
-    page-faulted in anew on every call: ~116 faults per five-node amplitude
-    and ~230 per one-target experiment, ~25-30% of their time. Freeing a
-    mapped block raises both thresholds to its size (glibc's dynamic mmap
-    threshold). Other allocators see one short-lived allocation.
-    """
-    block = np.empty(1 << 21, dtype=np.uint8)
-    del block
-
-
-_keep_temporaries_on_the_heap()
-
 MAX_OPERATOR_QUBITS = 8
 HERMITIAN_ATOL = 1e-12
 

@@ -217,8 +217,8 @@ def ml_purify(rho: DensityMatrix) -> StateVector:
     gap = evals[-1] - evals[-2]
     if gap < PURIFY_GAP_ATOL:
         raise DegeneracyError(
-            f"dominant eigenvalue is degenerate (gap {gap:.3e} between "
-            f"{evals[-1]:.6f} and {evals[-2]:.6f})"
+            f"dominant eigenvalue is degenerate (gap {float(gap)!r} below PURIFY_GAP_ATOL = "
+            f"{PURIFY_GAP_ATOL:g}, between {evals[-1]:.6f} and {evals[-2]:.6f})"
         )
     psi = evecs[:, -1]
     pivot = int(np.argmax(np.abs(psi)))
@@ -338,7 +338,7 @@ def simulate_experiment(
         except DegeneracyError as exc:
             raise DegeneracyError(f"target {name}: {exc}, with depolarizing_p = "
                                   f"{noise.depolarizing_p} leaving 1 - p = "
-                                  f"{1.0 - noise.depolarizing_p:.3e}") from exc
+                                  f"{float(1.0 - noise.depolarizing_p)!r}") from exc
         overlap = np.vdot(ideal.embedded.amplitudes, purified.amplitudes)
         if abs(overlap) > 1e-12:
             purified = StateVector(4, purified.amplitudes * (overlap.conjugate() / abs(overlap)))

@@ -1,6 +1,10 @@
 """Spin-network graphs and the three vertex-amplitude contraction routes."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +244,14 @@ def purified_noisy_states(rng):
     return states
 
 
+# Trial 1 of ``test_shuffled_and_reoriented_link_orders``: its ninth link
+# places no node and contracts the first two open axes.
+F_ORDERED_LINKS = (
+    ((5, 4), (1, 1)), ((2, 1), (5, 3)), ((3, 3), (2, 3)), ((1, 2), (4, 4)), ((4, 3), (2, 2)),
+    ((1, 4), (2, 4)), ((5, 1), (4, 1)), ((3, 4), (1, 3)), ((5, 2), (3, 1)), ((3, 2), (4, 2)),
+)
+
+
 class TestPlanBitIdentical:
     @pytest.mark.parametrize("rule", ["increasing", "decreasing", "cyclic", "anticyclic"])
     def test_rule_graphs_and_link_swaps(self, rule):
@@ -291,6 +303,33 @@ class TestPlanBitIdentical:
             assert_plan_bits(fixed + [state], graph)
         assert_batch_bits(fixed, fifth, graph)
 
+    def test_f_ordered_link(self):
+        # Step 8, the ninth link, places no node and contracts open axes 0 and
+        # 1, where np.tensordot's transposed reshape hands BLAS an F-ordered matrix.
+        graph = SpinNetworkGraph(F_ORDERED_LINKS)
+        assert graph.plan[8].fused is None and graph.plan[8].at01 == (0, 1)
+        rng = np.random.default_rng(131)
+        for _ in range(4):
+            assert_plan_bits(generic_states(rng, 5), graph)
+        assert_batch_bits(generic_states(rng, 4), generic_states(rng, 4), graph)
+
+    def test_node_5_placed_by_outer_product(self):
+        links = list(cyclic_k5().links)
+        first = links.index(((3, 2), (5, 3)))
+        reordered = [links[0], ((5, 3), (3, 2))] + links[1:first] + links[first + 1:]
+        graph = SpinNetworkGraph(tuple(reordered))
+        assert graph.split == 1
+        assert graph.plan[1].outer == (4,) and graph.plan[1].fused == 2
+        rng = np.random.default_rng(137)
+        fixed = [regular_state()] * 4
+        fifth = purified_noisy_states(rng)
+        for state in fifth[:3]:
+            assert_plan_bits(fixed + [state], graph)
+        assert_batch_bits(fixed, fifth, graph)
+        for _ in range(2):
+            assert_plan_bits(generic_states(rng, 5), graph)
+        assert_batch_bits(generic_states(rng, 4), generic_states(rng, 3), graph)
+
     def test_purified_noisy_states_on_every_node(self):
         rng = np.random.default_rng(109)
         purified = purified_noisy_states(rng)
@@ -332,6 +371,46 @@ class TestPlanBitIdentical:
     def test_batch_needs_four_fixed_states(self):
         with pytest.raises(ValueError, match="need exactly 4 fixed states, got 3"):
             amplitude.fifth_node_amplitudes([regular_state()] * 3, [regular_state()], cyclic_k5())
+
+
+# numpy's SIMD loops limited to SSE, with two other OpenBLAS kernels: the
+# split form must keep np.dot's bits wherever the plan replaced np.dot by it.
+PLAN_KERNEL_VARIANTS = {
+    core: {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+           "OPENBLAS_CORETYPE": core}
+    for core in ("Haswell", "Nehalem")
+}
+
+# Runs the pytest node id in argv[1], or prints why numpy could not be imported.
+_PLAN_CHILD = """
+import sys
+try:
+    import numpy
+except Exception as exc:
+    print(f"skip: {type(exc).__name__}: {exc}")
+    sys.exit(0)
+import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("core", sorted(PLAN_KERNEL_VARIANTS))
+def test_plan_bits_hold_under_other_cpu_kernels(core):
+    """``TestPlanBitIdentical`` passes in a child process that takes other x86-64 kernels.
+
+    As with the portable output pins, the variants emulate other CPUs on the
+    host's CPU only. A variant whose child cannot import numpy is skipped.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, **PLAN_KERNEL_VARIANTS[core], "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _PLAN_CHILD, f"{__file__}::TestPlanBitIdentical"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    if child.stdout.startswith("skip: "):
+        pytest.skip(f"numpy does not start under {core}: {child.stdout[6:].strip()}")
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr
 
 
 class TestBasisTable:

@@ -255,8 +255,9 @@ class TestExperimentCommand:
         else:
             assert code == 1 and out == ""
             assert re.fullmatch(r"error: target A0: dominant eigenvalue is degenerate \(gap "
-                                r"\S+ between 0\.062500 and 0\.062500\), with depolarizing_p = "
-                                r"0\.9999999999 leaving 1 - p = 1\.000e-10\n", err), err
+                                r"\S+ below PURIFY_GAP_ATOL = 1e-10, between 0\.062500 and "
+                                r"0\.062500\), with depolarizing_p = 0\.9999999999 leaving "
+                                r"1 - p = 1\.000000082740371e-10\n", err), err
 
     def test_depolarizing_just_within_reach_runs(self, capsys):
         code, out, err = run_cli(capsys, "experiment", "--states", "A0",

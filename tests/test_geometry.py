@@ -294,8 +294,10 @@ class TestLazySolverImport:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
     def test_hot_loops_reuse_heap_memory_without_scipy(self):
-        # Importing scipy once raised glibc's malloc thresholds as a side
-        # effect; without it, qtetra's import must, or every call page-faults.
+        # glibc maps every block above its 128 KB mmap threshold afresh, so a
+        # hot-loop temporary that large page-faults on every call. The
+        # contraction's and the tomography's temporaries must stay below it
+        # on their own, not because an import (scipy's once did) raised it.
         out = fresh_python(
             "import resource, sys\n"
             "from qtetra import amplitude, tomography\n"

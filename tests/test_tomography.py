@@ -402,16 +402,29 @@ class TestSimulateExperiment:
         # whether the real spectrum at 1 - p = 1e-10 counts as degenerate turns
         # on eigh's last bits, so the degeneracy is forced here
         def degenerate(rho):
-            raise DegeneracyError("dominant eigenvalue is degenerate (gap 9.999e-11 between "
-                                  "0.062500 and 0.062500)")
+            raise DegeneracyError("dominant eigenvalue is degenerate (gap 9.9996e-11 below "
+                                  "PURIFY_GAP_ATOL = 1e-10, between 0.062500 and 0.062500)")
 
         monkeypatch.setattr(tomography, "ml_purify", degenerate)
         noise = NoiseSpec(depolarizing_p=0.9999999999)
         with pytest.raises(DegeneracyError) as caught:
             simulate_experiment(targets={"A0": NAMED_POINTS["A0"]}, noise=noise)
         assert str(caught.value) == (
-            "target A0: dominant eigenvalue is degenerate (gap 9.999e-11 between 0.062500 and "
-            "0.062500), with depolarizing_p = 0.9999999999 leaving 1 - p = 1.000e-10")
+            "target A0: dominant eigenvalue is degenerate (gap 9.9996e-11 below PURIFY_GAP_ATOL = "
+            "1e-10, between 0.062500 and 0.062500), with depolarizing_p = 0.9999999999 leaving "
+            "1 - p = 1.000000082740371e-10")
+
+    def test_gap_below_the_bar_prints_in_full(self):
+        # 9.9996e-11 rounds to the bar itself at three significant digits
+        rho = DensityMatrix(np.diag([0.5 + 9.9996e-11 / 2, 0.5 - 9.9996e-11 / 2] + [0.0] * 14))
+        with pytest.raises(DegeneracyError) as caught:
+            ml_purify(rho)
+        evals = np.linalg.eigh(rho.entries)[0]
+        gap = float(evals[-1] - evals[-2])
+        assert f"{gap:.3e}" == "1.000e-10"
+        assert str(caught.value) == (
+            f"dominant eigenvalue is degenerate (gap {gap!r} below PURIFY_GAP_ATOL = 1e-10, "
+            "between 0.500000 and 0.500000)")
 
     def test_report_serializes(self):
         report = simulate_experiment(
